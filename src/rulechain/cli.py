@@ -19,7 +19,7 @@ from .datagen import (
     MODES,
     d3_like_config,
     emit_training_records,
-    equivalence_from_rows,
+    equivalence_from_row,
     equivalence_to_rows,
     generate_dataset,
     instance_from_json,
@@ -35,7 +35,7 @@ from .evalkit import (
     prediction_to_json,
     score_consistency,
 )
-from .jsonlio import read_jsonl, write_json, write_jsonl
+from .jsonlio import read_jsonl, row_line, write_json, write_jsonl
 from .reasoner import run, solve
 from .strategies import STRATEGY_NAMES, make_strategy
 from .theory import ParseError, TheoryParseError, parse_statement, parse_theory
@@ -109,8 +109,32 @@ def _parse_budgets(text: str) -> tuple[int, ...]:
     return budgets
 
 
+def _parse_jobs(text: str) -> int:
+    """A worker count: at least 1, at most the machine's CPU count."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad job count {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"--jobs must be >= 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _parse_rows(path: str, parse) -> list:
+    """``parse`` applied to every row of a JSON-lines file. A row it
+    rejects fails the command with the path, line and row id."""
+    out = []
+    for index, row in enumerate(read_jsonl(path)):
+        try:
+            out.append(parse(row))
+        except ValueError as e:
+            rid = f" (id {row['id']!r})" if isinstance(row, dict) and "id" in row else ""
+            raise CliError(f"{path}:{row_line(path, index)}{rid}: {e}") from None
+    return out
+
+
 def _load_instances(path: str):
-    return [instance_from_json(row) for row in read_jsonl(path)]
+    return _parse_rows(path, instance_from_json)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--strategy", choices=STRATEGY_NAMES, default="goal")
     ev.add_argument("--budget", type=int, default=None)
     ev.add_argument("--shuffle-seed", type=int, default=None)
-    ev.add_argument("--jobs", type=int, default=None)
+    ev.add_argument("--jobs", type=_parse_jobs, default=None)
     ev.add_argument("--equivalence", help="equivalence .jsonl for consistency scoring")
     ev.add_argument(
         "--with-efficiency",
@@ -199,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--strategy", choices=STRATEGY_NAMES, default="goal")
     be.add_argument("--budgets", type=_parse_budgets, default=(1, 3, 5, 7, 10))
     be.add_argument("--shuffle-seed", type=int, default=None)
-    be.add_argument("--jobs", type=int, default=None)
+    be.add_argument("--jobs", type=_parse_jobs, default=None)
     be.add_argument("--out", help="write the curve JSON here")
     return parser
 
@@ -263,10 +287,6 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _other_strategy(name: str) -> str:
-    return "exhaustive" if name == "goal" else "goal"
-
-
 def _cmd_eval(args) -> int:
     instances = _load_instances(args.data)
     preds = predict_instances(
@@ -278,7 +298,7 @@ def _cmd_eval(args) -> int:
     if args.equivalence:
         base_by_id = {inst.id: inst for inst in instances}
         groups: dict[str, list] = {}
-        for base_id, _, renaming, variant in equivalence_from_rows(read_jsonl(args.equivalence)):
+        for base_id, _, renaming, variant in _parse_rows(args.equivalence, equivalence_from_row):
             if base_id not in base_by_id:
                 raise CliError(f"equivalence base {base_id} is not in {args.data}")
             groups.setdefault(base_id, []).append((variant, renaming))
@@ -293,7 +313,7 @@ def _cmd_eval(args) -> int:
     efficiency = None
     if args.with_efficiency:
         other = predict_instances(
-            instances, _other_strategy(args.strategy), args.budget,
+            instances, "exhaustive" if args.strategy == "goal" else "goal", args.budget,
             args.shuffle_seed, args.jobs,
         )
         goal_preds = preds if args.strategy == "goal" else other

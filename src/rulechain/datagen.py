@@ -30,7 +30,14 @@ import random
 from dataclasses import dataclass, replace
 
 from . import vocab
-from .reasoner import canonical_proof_steps, canonical_proof_string
+from .reasoner import (
+    LABEL_FALSE,
+    LABEL_TRUE,
+    LABEL_UNKNOWN,
+    LABELS,
+    canonical_proof_steps,
+    canonical_proof_string,
+)
 from .theory import (
     Atom,
     COMMON,
@@ -55,15 +62,10 @@ from .theory import (
     parse_statement,
     parse_theory,
     render,
+    sentence_number,
 )
 
-LABEL_TRUE = "true"
-LABEL_FALSE = "false"
-LABEL_UNKNOWN = "unknown"
 DEPTH_NA = "N/A"
-
-DATASET_SCHEMA_VERSION = 1
-TRAINING_SCHEMA_VERSION = 1
 
 
 class GenerationError(ValueError):
@@ -87,13 +89,9 @@ class _Retry(Exception):
 # ---------------------------------------------------------------------------
 
 def _ground(atom: Atom, entity: Entity | None) -> Atom:
-    subject = atom.subject
-    if isinstance(subject, Var):
-        subject = entity
-    pred = atom.pred
-    if isinstance(pred, Rel) and isinstance(pred.obj, Var):
-        pred = Rel(pred.verb, entity)
-    return Atom(subject, pred, atom.positive)
+    if isinstance(atom.subject, Var):
+        return Atom(entity, atom.pred, atom.positive)
+    return atom
 
 
 @dataclass
@@ -271,6 +269,22 @@ def _gold_proofs(
     return ordered[:cap], truncated
 
 
+def _gold_target(
+    theory: Theory, statement: Statement, closure: GoldClosure | None
+) -> tuple[GoldClosure, str, Atom | None]:
+    """(closure, gold label, atom the gold proofs prove); the atom is None
+    for unknown statements."""
+    closure = closure if closure is not None else gold_closure(theory)
+    if closure.contradiction:
+        raise ContradictionError(theory.id)
+    atom = statement.atom
+    if closure.knows(atom):
+        return closure, LABEL_TRUE, atom
+    if closure.knows(atom.negated()):
+        return closure, LABEL_FALSE, atom.negated()
+    return closure, LABEL_UNKNOWN, None
+
+
 def assign_gold(
     theory: Theory,
     statement: Statement,
@@ -284,15 +298,8 @@ def assign_gold(
     proof set (canonical strings, minimal depth first, capped) and the
     minimal proof depth; unknown carries no proofs and depth "N/A".
     """
-    closure = closure if closure is not None else gold_closure(theory)
-    if closure.contradiction:
-        raise ContradictionError(theory.id)
-    atom = statement.atom
-    if closure.knows(atom):
-        label, target = LABEL_TRUE, atom
-    elif closure.knows(atom.negated()):
-        label, target = LABEL_FALSE, atom.negated()
-    else:
+    closure, label, target = _gold_target(theory, statement, closure)
+    if target is None:
         return GoldAnnotation(LABEL_UNKNOWN, DEPTH_NA, ())
     proofs, truncated = _gold_proofs(closure, target, proof_cap)
     return GoldAnnotation(
@@ -315,16 +322,9 @@ def gold_proof_steps(
     statements, and statements that are themselves given facts, have no
     steps.
     """
-    closure = closure if closure is not None else gold_closure(theory)
-    if closure.contradiction:
-        raise ContradictionError(theory.id)
-    atom = statement.atom
-    if closure.knows(atom):
-        label, target = LABEL_TRUE, atom
-    elif closure.knows(atom.negated()):
-        label, target = LABEL_FALSE, atom.negated()
-    else:
-        return LABEL_UNKNOWN, []
+    closure, label, target = _gold_target(theory, statement, closure)
+    if target is None:
+        return label, []
     proofs, _ = _gold_proofs(closure, target, proof_cap)
     _, _, assignment = proofs[0]
     if not assignment:
@@ -724,7 +724,7 @@ def irrelevant_sentences(
             used_attrs.add(a.pred.attr)
         if isinstance(a.subject, Entity):
             used_subjects.add(a.subject.surface)
-        if isinstance(a.pred, Rel) and isinstance(a.pred.obj, Entity):
+        if isinstance(a.pred, Rel):
             used_subjects.add(a.pred.obj.surface)
 
     for f in theory.facts:
@@ -824,7 +824,7 @@ def _instance_tokens(instance: Instance) -> tuple[list[str], list[str], list[str
             note_entity(a.subject)
         if isinstance(a.pred, IsAttr):
             attrs.setdefault(a.pred.attr)
-        elif isinstance(a.pred.obj, Entity):
+        else:
             note_entity(a.pred.obj)
 
     for f in instance.theory.facts:
@@ -854,7 +854,7 @@ def _rename_atom(a: Atom, mapping: dict[str, str]) -> Atom:
         new = mapping.get(pred.attr)
         if new:
             pred = IsAttr(new)
-    elif isinstance(pred.obj, Entity):
+    else:
         pred = Rel(pred.verb, _rename_entity(pred.obj, mapping))
     return Atom(subject, pred, a.positive)
 
@@ -951,15 +951,38 @@ def instance_to_json(instance: Instance) -> dict:
     }
 
 
+_ROW_FIELDS = (("id", str), ("sentences", dict), ("questions", list))
+_QUESTION_FIELDS = (
+    ("id", str), ("text", str), ("label", str), ("depth", (int, str)), ("proofs", list),
+)
+_EQUIVALENCE_FIELDS = (("mode", str), ("mapping", dict), ("base_id", str), ("variant_index", int))
+
+
+def _check_fields(obj, fields, what: str) -> None:
+    """Raise ValueError unless ``obj`` is a JSON object with these typed fields."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    for key, kind in fields:
+        if not isinstance(obj.get(key), kind):
+            raise ValueError(f"{what} field {key!r} is missing or has the wrong type")
+
+
 def instance_from_json(obj: dict) -> Instance:
+    """Parse a dataset row; ValueError for a row that does not fit the format."""
+    _check_fields(obj, _ROW_FIELDS, "a row")
     sentences = obj["sentences"]
-    ordered = sorted(sentences.items(), key=lambda kv: int(kv[0][4:]))
+    ordered = sorted(sentences.items(), key=lambda kv: sentence_number(kv[0]))
     expected = [f"sent{i + 1}" for i in range(len(ordered))]
     if [sid for sid, _ in ordered] != expected:
-        raise ValueError(f"instance {obj.get('id')}: sentence ids are not dense")
+        raise ValueError(f"instance {obj['id']}: sentence ids are not dense")
+    if not all(isinstance(text, str) for text in sentences.values()):
+        raise ValueError(f"instance {obj['id']}: sentences must be strings")
     theory = parse_theory([text for _, text in ordered], obj["id"])
     questions = []
     for q in obj["questions"]:
+        _check_fields(q, _QUESTION_FIELDS, "a question")
+        if q["label"] not in LABELS or not all(isinstance(p, str) for p in q["proofs"]):
+            raise ValueError(f"question {q['id']}: bad label or proofs")
         ann = GoldAnnotation(
             q["label"],
             q["depth"],
@@ -982,13 +1005,12 @@ def equivalence_to_rows(eqset: EquivalenceSet) -> list[dict]:
     return rows
 
 
-def equivalence_from_rows(rows: list[dict]) -> list[tuple[str, int, RenamingMap, Instance]]:
-    """(base id, variant index, renaming, variant instance) per row."""
-    out = []
-    for row in rows:
-        renaming = RenamingMap(row["mode"], dict(row["mapping"]))
-        out.append((row["base_id"], int(row["variant_index"]), renaming, instance_from_json(row)))
-    return out
+def equivalence_from_row(row: dict) -> tuple[str, int, RenamingMap, Instance]:
+    """(base id, variant index, renaming, variant instance) of one row."""
+    instance = instance_from_json(row)
+    _check_fields(row, _EQUIVALENCE_FIELDS, "an equivalence row")
+    renaming = RenamingMap(row["mode"], dict(row["mapping"]))
+    return row["base_id"], row["variant_index"], renaming, instance
 
 
 # ---------------------------------------------------------------------------

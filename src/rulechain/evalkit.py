@@ -10,7 +10,8 @@ Metrics:
 
 * entailment accuracy: predicted label equals gold label.
 * strict proof accuracy: label correct, and the predicted proof is one of
-  the gold proofs (unknown questions must predict no proof).
+  the gold proofs (unknown questions must predict no proof). When the gold
+  set was capped, any proof that checks against the theory also counts.
 * inference precision and recall: the generated conclusions compared with
   the conclusions appearing in gold proofs. Precision is the fraction of
   generated conclusions that some gold proof needs (the hypothesis itself
@@ -25,7 +26,6 @@ Metrics:
 """
 from __future__ import annotations
 
-import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -33,6 +33,7 @@ from .datagen import DEPTH_NA, Instance, Question, RenamingMap
 from .reasoner import (
     LABEL_TRUE,
     LABEL_UNKNOWN,
+    ProofCheckError,
     check_proof,
     run,
     solve,
@@ -41,7 +42,6 @@ from .strategies import make_strategy
 from .theory import render
 
 REPORT_SCHEMA_VERSION = 1
-PREDICTIONS_SCHEMA_VERSION = 1
 
 DEPTH_BUCKETS = (0, 1, 2, 3, 4, 5, DEPTH_NA)
 
@@ -166,15 +166,27 @@ def label_correct(question: Question, prediction: Prediction) -> bool:
     return prediction.label == question.annotation.label
 
 
-def proof_correct(question: Question, prediction: Prediction) -> bool:
+def proof_correct(instance: Instance, question: Question, prediction: Prediction) -> bool:
     """Strict: label right, and the proof is one of the gold proofs.
-    Unknown questions must come back with no proof at all."""
+    Unknown questions must come back with no proof at all.
+
+    A capped gold set lists only some of the proofs, so for a truncated
+    annotation an unlisted proof counts when it checks against the theory.
+    """
     ann = question.annotation
     if prediction.label != ann.label:
         return False
     if ann.label == LABEL_UNKNOWN:
         return prediction.proof is None
-    return prediction.proof is not None and prediction.proof in ann.proofs
+    if prediction.proof in ann.proofs:
+        return True
+    if prediction.proof is None or not ann.proofs_truncated:
+        return False
+    try:
+        check_proof(instance.theory, question.statement, ann.label, prediction.proof)
+    except ProofCheckError:
+        return False
+    return True
 
 
 def _gold_conclusion_sets(instance: Instance, question: Question) -> list[set[str]]:
@@ -233,7 +245,7 @@ def score_proof(instances: list[Instance], predictions: list[Prediction]) -> flo
     pairs = _paired(instances, index_predictions(predictions))
     if not pairs:
         raise ValueError("nothing to score")
-    return sum(proof_correct(q, p) for _, q, p in pairs) / len(pairs)
+    return sum(proof_correct(inst, q, p) for inst, q, p in pairs) / len(pairs)
 
 
 def efficiency_ratio(
@@ -252,44 +264,21 @@ def efficiency_ratio(
     return sum(ratios) / len(ratios)
 
 
-def rename_proof(proof: str | None, mapping: dict[str, str]) -> str | None:
-    """Apply a token renaming to a proof string.
-
-    Canonical proofs mention only sentence ids, intermediate labels, and
-    punctuation, so for well-formed proofs this is the identity; it exists
-    so consistency scoring is stated over renaming-normalized proofs.
-    """
-    if proof is None or not mapping:
-        return proof
-    pattern = re.compile(
-        r"\b(" + "|".join(re.escape(k) for k in sorted(mapping, reverse=True)) + r")\b"
-    )
-    return pattern.sub(lambda m: mapping[m.group(0)], proof)
-
-
 def question_consistency(
-    base_pred: Prediction,
-    variant_preds: list[Prediction],
-    maps: list["dict[str, str] | None"] | None = None,
+    base_pred: Prediction, variant_preds: list[Prediction]
 ) -> tuple[float, float]:
     """(entailment consistency, proof consistency) for one equivalence set.
 
     Entailment consistency is the fraction of variants predicting the base
-    question's label; proof consistency is the fraction whose proof, after
-    the inverse renaming, is string-identical to the base proof (no proof
-    on both sides counts as identical).
+    question's label; proof consistency is the fraction whose proof is
+    string-identical to the base proof (no proof on both sides counts as
+    identical). Canonical proofs mention only sentence ids, which renaming
+    leaves alone, so proofs compare without undoing the renaming.
     """
     if not variant_preds:
         raise ValueError("an equivalence set needs at least one variant")
-    if maps is None:
-        maps = [None] * len(variant_preds)
-    if len(maps) != len(variant_preds):
-        raise ValueError("one inverse map per variant expected")
     labels = sum(vp.label == base_pred.label for vp in variant_preds)
-    proofs = sum(
-        rename_proof(vp.proof, inv or {}) == base_pred.proof
-        for vp, inv in zip(variant_preds, maps)
-    )
+    proofs = sum(vp.proof == base_pred.proof for vp in variant_preds)
     return labels / len(variant_preds), proofs / len(variant_preds)
 
 
@@ -335,10 +324,9 @@ def score_consistency(
 
     result = ConsistencyResult()
     for base, variants in groups:
-        inverses = [renaming.inverse() for _, renaming in variants]
         for j, base_q in enumerate(base.questions):
             variant_preds = [pred(inst.questions[j].id) for inst, _ in variants]
-            entail, proof = question_consistency(pred(base_q.id), variant_preds, inverses)
+            entail, proof = question_consistency(pred(base_q.id), variant_preds)
             result.sets += 1
             result.entailment_sum += entail
             result.proof_sum += proof
@@ -481,7 +469,7 @@ def build_report(
     total = DepthRow("All")
     for inst, q, p in _paired(instances, index_predictions(predictions)):
         correct = label_correct(q, p)
-        strict = proof_correct(q, p)
+        strict = proof_correct(inst, q, p)
         pr = inference_pr(inst, q, p)
         depth = q.annotation.depth
         if depth not in rows:

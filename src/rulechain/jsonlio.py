@@ -5,6 +5,7 @@ produced from the same data are byte-identical.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -30,12 +31,15 @@ def read_jsonl(path: "str | Path") -> list[dict]:
     return rows
 
 
+def row_line(path: "str | Path", index: int) -> int:
+    """The 1-based file line of row ``index`` of ``read_jsonl(path)``."""
+    with open(path, encoding="utf-8") as fh:
+        lines = (n for n, line in enumerate(fh, start=1) if line.strip())
+        return next(itertools.islice(lines, index, None))
+
+
 def write_json(path: "str | Path", obj: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
-
-def read_json(path: "str | Path") -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)

@@ -3,8 +3,8 @@
 The engine works one hop at a time. A selection strategy picks a rule and a
 binding, ``compose`` produces the ground conclusion, and the store grows by
 exactly that fact. ``run`` drives the loop to a stopping condition and
-returns the trace; ``solve`` reads a three-valued verdict off the trace
-under the open-world reading:
+returns the trace, which carries the store; ``solve`` reads a three-valued
+verdict off that store under the open-world reading:
 
     true     the statement itself was given or derived
     false    the statement's negation was given or derived
@@ -23,18 +23,16 @@ degenerate proof "sentK -> hypothesis".
 """
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 from .theory import (
     Atom,
     Entity,
     Fact,
-    IsAttr,
     QUANT_NONE,
     QUANT_PEOPLE,
-    Rel,
     Rule,
     Statement,
     Theory,
@@ -70,20 +68,13 @@ class ProofCheckError(ValueError):
 
 
 def substitute(atom: Atom, entity: Entity | None) -> Atom:
-    """Ground an atom by replacing its variable (if any) with ``entity``."""
-    subject = atom.subject
-    if isinstance(subject, Var):
-        if entity is None:
-            raise ValueError("atom has a variable but no binding target")
-        subject = entity
-    pred = atom.pred
-    if isinstance(pred, Rel) and isinstance(pred.obj, Var):
-        if entity is None:
-            raise ValueError("atom has a variable but no binding target")
-        pred = Rel(pred.verb, entity)
-    if subject is atom.subject and pred is atom.pred:
+    """Ground an atom by replacing its variable (if any) with ``entity``.
+    The grammar puts the variable in subject position only."""
+    if not isinstance(atom.subject, Var):
         return atom
-    return Atom(subject, pred, atom.positive)
+    if entity is None:
+        raise ValueError("atom has a variable but no binding target")
+    return Atom(entity, atom.pred, atom.positive)
 
 
 @dataclass(frozen=True)
@@ -120,11 +111,16 @@ class OneHopStep:
 
 @dataclass
 class InferenceTrace:
-    theory: Theory
+    """The steps of a run plus the store they left behind."""
+
     steps: list[OneHopStep]
     stop_reason: str
     composer_calls: int
-    contradiction: bool = False
+    store: "FactStore"
+
+    @property
+    def contradiction(self) -> bool:
+        return self.store.contradiction
 
     def conclusions(self) -> list[Atom]:
         return [s.conclusion.atom for s in self.steps]
@@ -144,22 +140,13 @@ class InferenceTrace:
             "contradiction": self.contradiction,
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json())
-
 
 @dataclass(frozen=True)
 class ProofGraph:
-    """A proof as a DAG plus its canonical serialization.
+    """A proof in its canonical serialization. ``proves_negation`` marks
+    proofs that establish the negation of the statement (a "false"
+    verdict)."""
 
-    Nodes are the given-fact ids, proof-local intermediate ids, rule ids,
-    and the distinguished "hypothesis" node. Edges run fact -> rule and
-    rule -> conclusion. ``proves_negation`` marks proofs that establish the
-    negation of the statement (a "false" verdict).
-    """
-
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
     canonical_form: str
     proves_negation: bool = False
 
@@ -179,24 +166,15 @@ class FactStore:
         self.derived: list[Fact] = []
         self._by_atom: dict[Atom, Fact] = {f.atom: f for f in self.given}
         self.entity_order: list[Entity] = theory.entity_order()
-        self._entity_rank = {e: i for i, e in enumerate(self.entity_order)}
         self.contradiction = any(
             f.atom.negated() in self._by_atom for f in self.given
         )
-
-    def facts(self) -> list[Fact]:
-        return self.given + self.derived
 
     def has_atom(self, atom: Atom) -> bool:
         return atom in self._by_atom
 
     def fact_for(self, atom: Atom) -> Fact | None:
         return self._by_atom.get(atom)
-
-    def entity_rank(self, entity: Entity | None) -> int:
-        if entity is None:
-            return -1
-        return self._entity_rank.get(entity, len(self._entity_rank))
 
     def add_derived(self, atom: Atom, step_index: int) -> Fact:
         if atom in self._by_atom:
@@ -253,10 +231,9 @@ def step(store: FactStore, decision: Proceed) -> OneHopStep:
     binding = decision.binding
     if len(binding.fact_ids) != len(rule.premises):
         raise StaleDecisionError("binding does not cover the premises")
-    by_id = {f.id: f for f in store.facts()}
     for premise, fid in zip(rule.premises, binding.fact_ids):
-        fact = by_id.get(fid)
-        if fact is None or fact.atom != substitute(premise, binding.entity):
+        fact = store.fact_for(substitute(premise, binding.entity))
+        if fact is None or fact.id != fid:
             raise StaleDecisionError(f"premise fact {fid} missing or changed")
     conclusion_atom = compose(rule, binding)
     index = len(store.derived) + 1
@@ -297,20 +274,11 @@ def run(
             break
         steps.append(step(store, decision))
     return InferenceTrace(
-        theory=theory,
         steps=steps,
         stop_reason=reason,
         composer_calls=len(steps),
-        contradiction=store.contradiction,
+        store=store,
     )
-
-
-def replay_store(trace: InferenceTrace) -> FactStore:
-    """Rebuild the store a trace left behind."""
-    store = FactStore(trace.theory)
-    for s in trace.steps:
-        store.add_derived(s.conclusion.atom, s.index)
-    return store
 
 
 def solve(theory: Theory, statement: Statement, trace: InferenceTrace) -> Verdict:
@@ -320,17 +288,14 @@ def solve(theory: Theory, statement: Statement, trace: InferenceTrace) -> Verdic
     is contradictory and holds both the statement and its negation, the
     polarity matching the statement wins.
     """
-    store = replay_store(trace)
+    store = trace.store
     target = store.fact_for(statement.atom)
     if target is not None:
         return Verdict(LABEL_TRUE, stitch_proof(trace, target))
     anti_fact = store.fact_for(statement.atom.negated())
     if anti_fact is not None:
         proof = stitch_proof(trace, anti_fact)
-        return Verdict(
-            LABEL_FALSE,
-            ProofGraph(proof.nodes, proof.edges, proof.canonical_form, True),
-        )
+        return Verdict(LABEL_FALSE, replace(proof, proves_negation=True))
     return Verdict(LABEL_UNKNOWN, None)
 
 
@@ -413,17 +378,13 @@ def canonical_proof_string(
     A target present in both maps serializes as the derivation; pass an
     empty ``derivations`` to force the degenerate given form.
     """
-    if target not in derivations:
-        if target in given_ids:
-            return f"{given_ids[target]} -> hypothesis"
-        raise KeyError(f"no derivation for {render(target)!r}")
-
-    order = canonical_proof_order(target, given_ids, derivations)
-    number = {atom: i + 1 for i, atom in enumerate(order)}
+    if target not in derivations and target in given_ids:
+        return f"{given_ids[target]} -> hypothesis"
+    steps = canonical_proof_steps(target, given_ids, derivations)
+    number = {atom: i + 1 for i, (_, _, atom) in enumerate(steps)}
 
     segments: list[str] = []
-    for atom in order:
-        rule_id, premises = derivations[atom]
+    for rule_id, premises, atom in steps:
         labels = sorted(
             (
                 given_ids[p] if p in given_ids else f"int{number[p]}"
@@ -443,12 +404,9 @@ def stitch_proof(trace: InferenceTrace, target: Fact) -> ProofGraph:
     function of the underlying proof DAG.
     """
     if target.is_given:
-        canonical = f"{target.id} -> hypothesis"
-        return ProofGraph(
-            (target.id, "hypothesis"), ((target.id, "hypothesis"),), canonical
-        )
+        return ProofGraph(f"{target.id} -> hypothesis")
 
-    given_by_id = {f.id: f.atom for f in trace.theory.facts}
+    given_by_id = {f.id: f.atom for f in trace.store.given}
     step_by_id = {s.conclusion.id: s for s in trace.steps}
 
     given_ids: dict[Atom, str] = {}
@@ -471,30 +429,7 @@ def stitch_proof(trace: InferenceTrace, target: Fact) -> ProofGraph:
         return atom
 
     target_atom = collect(target.id)
-    canonical = canonical_proof_string(target_atom, given_ids, derivations)
-    nodes, edges = _graph_from_canonical(canonical)
-    return ProofGraph(nodes, edges, canonical)
-
-
-def _graph_from_canonical(canonical: str) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    nodes: dict[str, None] = {}
-    edges: list[tuple[str, str]] = []
-    single = re.fullmatch(r"(sent\d+) -> hypothesis", canonical)
-    if single:
-        fid = single.group(1)
-        return (fid, "hypothesis"), ((fid, "hypothesis"),)
-    for seg in canonical.split(" ; "):
-        m = re.fullmatch(r"\((sent\d+) & ([^)]+)\) -> (int\d+|hypothesis)", seg)
-        if not m:
-            raise ValueError(f"bad canonical segment {seg!r}")
-        rule_id, fact_part, tgt = m.groups()
-        nodes.setdefault(rule_id)
-        nodes.setdefault(tgt)
-        for fid in fact_part.split(" "):
-            nodes.setdefault(fid)
-            edges.append((fid, rule_id))
-        edges.append((rule_id, tgt))
-    return tuple(nodes), tuple(edges)
+    return ProofGraph(canonical_proof_string(target_atom, given_ids, derivations))
 
 
 def check_proof(
@@ -560,7 +495,7 @@ def check_proof(
                     raise ProofCheckError(f"{fid} used before it is derived")
                 premise_atoms.append(bound[fid])
                 used.add(fid)
-        conclusion = _match_rule(theory, rule, premise_atoms)
+        conclusion = _match_rule(rule, premise_atoms)
         last = i == len(segments) - 1
         if target_id == "hypothesis":
             if not last:
@@ -583,30 +518,22 @@ def check_proof(
     return conclusions
 
 
-def _match_rule(theory: Theory, rule: Rule, premise_atoms: list[Atom]) -> Atom:
+def _match_rule(rule: Rule, premise_atoms: list[Atom]) -> Atom:
     """Find a substitution under which ``premise_atoms`` are exactly the
-    rule's premises (as a multiset) and return the ground conclusion."""
+    rule's premises (as a multiset) and return the ground conclusion.
+
+    A quantified rule has a premise whose subject is the variable, so only
+    the subjects of ``premise_atoms`` can bind it.
+    """
     if len(premise_atoms) != len(rule.premises):
         raise ProofCheckError(f"{rule.id} takes {len(rule.premises)} facts")
-    want = sorted(map(_atom_key, premise_atoms))
-    candidates: list[Entity | None]
-    if rule.quantifier == QUANT_NONE:
-        candidates = [None]
-    else:
-        candidates = [e for e in theory.entity_order() if _quantifier_allows(rule, e)]
+    want = Counter(premise_atoms)
+    candidates: list[Entity | None] = [None]
+    if rule.quantifier != QUANT_NONE:
+        subjects = dict.fromkeys(a.subject for a in premise_atoms)
+        candidates = [e for e in subjects if _quantifier_allows(rule, e)]
     for entity in candidates:
-        got = sorted(_atom_key(substitute(p, entity)) for p in rule.premises)
-        if got == want:
+        if Counter(substitute(p, entity) for p in rule.premises) == want:
             return substitute(rule.conclusion, entity)
     raise ProofCheckError(f"facts do not match the premises of {rule.id}")
 
-
-def _atom_key(atom: Atom) -> tuple:
-    subj = atom.subject
-    pred = atom.pred
-    if isinstance(pred, IsAttr):
-        p = ("attr", pred.attr, "")
-    else:
-        obj = pred.obj
-        p = ("rel", pred.verb, f"{obj.kind}:{obj.surface}")
-    return ((subj.kind, subj.surface), p, atom.positive)

@@ -21,17 +21,20 @@ negation) lies inside the cone, so both strategies always agree on the
 verdict; the goal trace is a subsequence of the exhaustive closure and never
 takes more one-hop steps.
 
-Both strategies are deterministic. Passing ``shuffle_rng`` switches to
-seeded random choice among the novel candidates, for experiments that need
-stochastic selection; determinism then holds per seed.
+Both strategies select from one enumeration, ``candidates``: the novel
+(rule, binding) decisions in canonical order, rules in theory order and
+bindings in canonical order. Deterministic selection takes the first
+decision, so nothing past it is enumerated. Passing ``shuffle_rng``
+switches to a seeded random choice among all of them, for experiments that
+need stochastic selection; determinism then holds per seed.
 """
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .reasoner import (
-    Binding,
     FactStore,
     Proceed,
     STOP,
@@ -39,16 +42,7 @@ from .reasoner import (
     applicable_bindings,
     compose,
 )
-from .theory import (
-    Atom,
-    Entity,
-    IsAttr,
-    Rel,
-    Rule,
-    Statement,
-    Theory,
-    Var,
-)
+from .theory import Atom, Entity, IsAttr, Statement, Theory, Var
 
 WILDCARD = "*"
 
@@ -78,7 +72,7 @@ class Pattern:
         else:
             if self.kind != "rel" or self.token != atom.pred.verb:
                 return False
-            if self.obj_key not in (WILDCARD, _entity_key(atom.pred.obj)):
+            if self.obj_key != _entity_key(atom.pred.obj):
                 return False
         return self.subject_key in (WILDCARD, _entity_key(atom.subject))
 
@@ -99,9 +93,8 @@ def atom_pattern(atom: Atom) -> Pattern:
 def _conclusion_can_match(conclusion: Atom, pattern: Pattern) -> bool:
     """Can some grounding of this rule conclusion land on the pattern?"""
     concl = atom_pattern(conclusion)
-    if (concl.kind, concl.token, concl.positive) != (pattern.kind, pattern.token, pattern.positive):
-        return False
-    if WILDCARD not in (concl.obj_key, pattern.obj_key) and concl.obj_key != pattern.obj_key:
+    shape = (concl.kind, concl.token, concl.obj_key, concl.positive)
+    if shape != (pattern.kind, pattern.token, pattern.obj_key, pattern.positive):
         return False
     return WILDCARD in (concl.subject_key, pattern.subject_key) or (
         concl.subject_key == pattern.subject_key
@@ -145,54 +138,35 @@ def relevance_cone(theory: Theory, statement: Statement) -> RelevanceCone:
     return RelevanceCone(frozenset(rule_ids), frozenset(patterns))
 
 
-def _novel_candidates(
+def candidates(
     store: FactStore,
-    rules: list[Rule],
-    cone: RelevanceCone | None,
-) -> "list[Proceed]":
-    out: list[Proceed] = []
-    for rule in rules:
+    theory: Theory,
+    cone: RelevanceCone | None = None,
+) -> Iterator[Proceed]:
+    """Every novel (rule, binding) decision, in canonical order.
+
+    Rules come in theory order and bindings in canonical order. A decision
+    is novel when its conclusion is not yet in the store; with a cone, only
+    cone rules and in-cone conclusions count.
+    """
+    for rule in theory.rules:
+        if cone is not None and rule.id not in cone.rule_ids:
+            continue
         for binding in applicable_bindings(rule, store):
             conclusion = compose(rule, binding)
             if store.has_atom(conclusion):
                 continue
             if cone is not None and not cone.admits(conclusion):
                 continue
-            out.append(Proceed(rule.id, binding))
-    return out
+            yield Proceed(rule.id, binding)
 
 
-def exhaustive_select(store: FactStore, theory: Theory) -> Proceed | Stop:
-    """First novel (rule, binding) in canonical order, or Stop at fixpoint."""
-    for rule in theory.rules:
-        for binding in applicable_bindings(rule, store):
-            if not store.has_atom(compose(rule, binding)):
-                return Proceed(rule.id, binding)
-    return STOP
-
-
-def goal_directed_select(
-    store: FactStore,
-    theory: Theory,
-    statement: Statement,
-    cone: RelevanceCone,
-) -> Proceed | Stop:
-    """First novel in-cone (rule, binding), or Stop.
-
-    Stops when the goal or its negation is already in the store, or when no
-    in-cone rule can derive anything new.
-    """
-    if store.has_atom(statement.atom) or store.has_atom(statement.atom.negated()):
-        return STOP
-    for rule in theory.rules:
-        if rule.id not in cone.rule_ids:
-            continue
-        for binding in applicable_bindings(rule, store):
-            conclusion = compose(rule, binding)
-            if store.has_atom(conclusion) or not cone.admits(conclusion):
-                continue
-            return Proceed(rule.id, binding)
-    return STOP
+def _choose(decisions: Iterator[Proceed], rng: random.Random | None) -> Proceed | Stop:
+    """The first decision, or a seeded random one; Stop when there is none."""
+    if rng is None:
+        return next(decisions, STOP)
+    pool = list(decisions)
+    return rng.choice(pool) if pool else STOP
 
 
 class ExhaustiveStrategy:
@@ -205,12 +179,7 @@ class ExhaustiveStrategy:
         self.shuffle_rng = shuffle_rng
 
     def select(self, store: FactStore, theory: Theory, statement: Statement | None = None):
-        if self.shuffle_rng is None:
-            return exhaustive_select(store, theory)
-        candidates = _novel_candidates(store, theory.rules, None)
-        if not candidates:
-            return STOP
-        return self.shuffle_rng.choice(candidates)
+        return _choose(candidates(store, theory), self.shuffle_rng)
 
 
 class GoalDirectedStrategy:
@@ -230,16 +199,12 @@ class GoalDirectedStrategy:
         self.shuffle_rng = shuffle_rng
 
     def select(self, store: FactStore, theory: Theory, statement: Statement | None = None):
+        """Stop once the goal or its negation is in the store, else choose
+        among the novel in-cone decisions."""
         stmt = statement or self.statement
-        if self.shuffle_rng is None:
-            return goal_directed_select(store, theory, stmt, self.cone)
         if store.has_atom(stmt.atom) or store.has_atom(stmt.atom.negated()):
             return STOP
-        rules = [r for r in theory.rules if r.id in self.cone.rule_ids]
-        candidates = _novel_candidates(store, rules, self.cone)
-        if not candidates:
-            return STOP
-        return self.shuffle_rng.choice(candidates)
+        return _choose(candidates(store, theory, self.cone), self.shuffle_rng)
 
 
 STRATEGY_NAMES = ("exhaustive", "goal")

@@ -118,8 +118,6 @@ class Var:
 
 X = Var()
 
-Term = "Entity | Var"
-
 
 @dataclass(frozen=True)
 class IsAttr:
@@ -130,10 +128,11 @@ class IsAttr:
 
 @dataclass(frozen=True)
 class Rel:
-    """Binary predicate: <subject> <verb> <obj>. ``verb`` is the base form."""
+    """Binary predicate: <subject> <verb> <obj>. ``verb`` is the base form.
+    The object is never the rule variable; ``Rule`` rejects one."""
 
     verb: str
-    obj: Entity | Var
+    obj: Entity
 
 
 @dataclass(frozen=True)
@@ -144,9 +143,7 @@ class Atom:
 
     @property
     def is_ground(self) -> bool:
-        if isinstance(self.subject, Var):
-            return False
-        return not (isinstance(self.pred, Rel) and isinstance(self.pred.obj, Var))
+        return not isinstance(self.subject, Var)
 
     def negated(self) -> "Atom":
         return replace(self, positive=not self.positive)
@@ -191,12 +188,15 @@ class Rule:
         if not 1 <= len(self.premises) <= 3:
             raise ValueError("a rule has one to three premises")
         has_var = any(isinstance(p.subject, Var) for p in self.premises)
+        if has_var != (self.quantifier != QUANT_NONE):
+            raise ValueError("a rule has a variable premise exactly when it is quantified")
         if isinstance(self.conclusion.subject, Var) and not has_var:
             raise ValueError("conclusion variable never bound by a premise")
-        if self.quantifier == QUANT_NONE and (
-            has_var or isinstance(self.conclusion.subject, Var)
+        if any(
+            isinstance(a.pred, Rel) and isinstance(a.pred.obj, Var)
+            for a in (*self.premises, self.conclusion)
         ):
-            raise ValueError("ground rule cannot contain a variable")
+            raise ValueError("the variable may only be a subject")
 
 
 @dataclass(frozen=True)
@@ -222,12 +222,6 @@ class Theory:
         nums = sorted(sentence_number(s.id) for s in [*self.facts, *self.rules])
         if nums != list(range(1, len(nums) + 1)):
             raise ValueError("sentence ids must be dense sent1..sentN")
-
-    def fact_by_id(self, fid: str) -> Fact:
-        for f in self.facts:
-            if f.id == fid:
-                return f
-        raise KeyError(fid)
 
     def rule_by_id(self, rid: str) -> Rule:
         for r in self.rules:
@@ -455,6 +449,15 @@ class _Parser:
         self._check_vocab(tok, "attribute")
         return word
 
+    def more_attributes(self, attrs: list[str]) -> list[str]:
+        """Extend ``attrs`` by ", <attr>" items; a sort takes at most two."""
+        while self.peek() and self.peek().text == ",":
+            if len(attrs) == 2:
+                raise ParseError("at most two attributes before the sort", self.peek().offset)
+            self.next()
+            attrs.append(self.attribute())
+        return attrs
+
     def _initial_attr_candidate(self, tok: _Token) -> str | None:
         # Sentence-initial attributes are capitalized; normalize to lowercase.
         word = tok.text.lower()
@@ -541,43 +544,26 @@ class _Parser:
         if attr0 is None:
             raise _NoCommit
         self.next()
-        attrs = [attr0]
         self._check_vocab(first, "attribute")
-        while self.peek() and self.peek().text == ",":
-            if len(attrs) == 2:
-                raise ParseError("at most two attributes before the sort", self.peek().offset)
-            self.next()
-            attrs.append(self.attribute())
+        attrs = self.more_attributes([attr0])
         sort_tok = self.peek()
         if sort_tok is None or sort_tok.text not in (QUANT_PEOPLE, QUANT_THINGS):
             raise _NoCommit
         self.next()
-        self.expect("are")
-        concl_attr = self.attribute()
-        self.expect_end()
-        quant = sort_tok.text
-        premises = tuple(Atom(X, IsAttr(a), True) for a in attrs)
-        return Rule(
-            f"sent{position}",
-            premises,
-            Atom(X, IsAttr(concl_attr), True),
-            quant,
-            RuleStyle(FORM_BARE, tuple(False for _ in premises)),
-        )
+        return self.sort_rule_tail(position, attrs, sort_tok.text, FORM_BARE)
 
     def parse_all_rule(self, position: int) -> Rule:
         self.expect("All")
-        attrs = [self.attribute()]
-        while self.peek() and self.peek().text == ",":
-            if len(attrs) == 2:
-                raise ParseError("at most two attributes before the sort", self.peek().offset)
-            self.next()
-            attrs.append(self.attribute())
+        attrs = self.more_attributes([self.attribute()])
         sort_tok = self.next()
         if sort_tok.text not in (QUANT_PEOPLE, QUANT_THINGS):
             raise ParseError(
                 f"expected 'people' or 'things', found {sort_tok.text!r}", sort_tok.offset
             )
+        return self.sort_rule_tail(position, attrs, sort_tok.text, FORM_ALL)
+
+    def sort_rule_tail(self, position: int, attrs: list[str], sort: str, form: str) -> Rule:
+        """Parse "are <attr>." closing an All or bare rule and build the rule."""
         self.expect("are")
         concl_attr = self.attribute()
         self.expect_end()
@@ -586,8 +572,8 @@ class _Parser:
             f"sent{position}",
             premises,
             Atom(X, IsAttr(concl_attr), True),
-            sort_tok.text,
-            RuleStyle(FORM_ALL, tuple(False for _ in premises)),
+            sort,
+            RuleStyle(form, tuple(False for _ in premises)),
         )
 
     def parse_if_rule(self, position: int) -> Rule:

@@ -5,11 +5,13 @@ in-process against tmp_path files; one subprocess test covers the
 ``python -m`` entry.
 """
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from rulechain import cli
 from rulechain import datagen as dg
 from rulechain.cli import main
 from rulechain.jsonlio import read_jsonl
@@ -169,7 +171,7 @@ class TestPerturb:
         assert code == 0
         rows = read_jsonl(out)
         assert len(rows) == 4  # 2 instances x 2 variants
-        parsed = dg.equivalence_from_rows(rows)
+        parsed = [dg.equivalence_from_row(r) for r in rows]
         assert {base_id for base_id, _, _, _ in parsed} == {"t00001", "t00002"}
         assert "mode=subject" in text
 
@@ -395,3 +397,69 @@ class TestBench:
         )
         assert code == 1
         assert "bad budgets" in err
+
+
+# ---------------------------------------------------------------------------
+# Malformed rows and worker counts
+# ---------------------------------------------------------------------------
+
+# A blank line first, so the bad row sits on file line 3.
+MALFORMED_ROWS = {
+    "missing_sentences": ('{"id":"x","questions":[]}', " (id 'x')", "'sentences'"),
+    "not_an_object": ("[1,2]", "", "JSON object"),
+}
+
+
+def with_bad_row(dataset, tmp_path, row):
+    path = tmp_path / "bad.jsonl"
+    first = dataset.read_text(encoding="utf-8").splitlines()[0]
+    path.write_text(f"{first}\n\n{row}\n", encoding="utf-8")
+    return path
+
+
+class TestMalformedRows:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+    @pytest.mark.parametrize(
+        "command",
+        [("eval",), ("bench",), ("emit-training", "--out-dir", "OUT")],
+        ids=["eval", "bench", "emit-training"],
+    )
+    def test_dataset_row_exits_1_with_location(self, dataset, tmp_path, capsys, case, command):
+        row, rid, why = MALFORMED_ROWS[case]
+        bad = with_bad_row(dataset, tmp_path, row)
+        argv = [a.replace("OUT", str(tmp_path / "out")) for a in command]
+        code, _, err = run_cli(capsys, *argv, "--data", str(bad))
+        assert code == 1
+        assert err.startswith(f"error: {bad}:3{rid}: ")
+        assert why in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+    def test_equivalence_row_exits_1_with_location(self, dataset, tmp_path, capsys, case):
+        row, rid, why = MALFORMED_ROWS[case]
+        eq = tmp_path / "eq.jsonl"
+        assert run_cli(
+            capsys, "perturb", "--data", str(dataset), "--out", str(eq),
+            "--mode", "subject", "--variants", "1",
+        )[0] == 0
+        bad = with_bad_row(eq, tmp_path, row)
+        code, _, err = run_cli(capsys, "eval", "--data", str(dataset), "--equivalence", str(bad))
+        assert code == 1
+        assert err.startswith(f"error: {bad}:3{rid}: ")
+        assert why in err
+
+
+class TestJobs:
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_below_one_is_rejected(self, dataset, capsys, command, jobs):
+        code, _, err = run_cli(capsys, command, "--data", str(dataset), f"--jobs={jobs}")
+        assert code == 1
+        assert "--jobs must be >= 1" in err
+
+    def test_clamped_to_the_cpu_count(self):
+        # Through the parser alone: no worker pool is started.
+        cpus = os.cpu_count() or 1
+        assert cli._parse_jobs("1") == 1
+        assert cli._parse_jobs(str(cpus)) == cpus
+        assert cli._parse_jobs(str(cpus + 1000)) == cpus

@@ -17,7 +17,7 @@ from rulechain.datagen import (
     assign_gold,
     d3_like_config,
     emit_training_records,
-    equivalence_from_rows,
+    equivalence_from_row,
     equivalence_to_rows,
     extend_theory,
     generate_dataset,
@@ -431,7 +431,7 @@ def test_equivalence_rows_roundtrip():
     rows = equivalence_to_rows(eqset)
     assert [r["variant_index"] for r in rows] == [1, 2, 3]
     assert all(r["base_id"] == inst.id and r["mode"] == "attribute" for r in rows)
-    parsed = equivalence_from_rows(json.loads(json.dumps(rows)))
+    parsed = [equivalence_from_row(r) for r in json.loads(json.dumps(rows))]
     for (base_id, k, renaming, variant), row in zip(parsed, rows):
         assert base_id == inst.id
         assert renaming.mapping == row["mapping"]

@@ -98,24 +98,69 @@ class TestProofCorrect:
         self.q_true, self.q_unknown = self.inst.questions
 
     def test_gold_proof_accepted(self):
-        assert ek.proof_correct(self.q_true, pred(label="true", proof=CHAIN2_PROOF))
+        assert ek.proof_correct(
+            self.inst, self.q_true, pred(label="true", proof=CHAIN2_PROOF)
+        )
 
     def test_wrong_label_rejected_even_with_gold_proof(self):
-        assert not ek.proof_correct(self.q_true, pred(label="false", proof=CHAIN2_PROOF))
+        assert not ek.proof_correct(
+            self.inst, self.q_true, pred(label="false", proof=CHAIN2_PROOF)
+        )
 
     def test_right_label_with_non_gold_proof_rejected(self):
         assert not ek.proof_correct(
-            self.q_true, pred(label="true", proof="sent1 -> hypothesis")
+            self.inst, self.q_true, pred(label="true", proof="sent1 -> hypothesis")
         )
 
     def test_right_label_without_proof_rejected(self):
-        assert not ek.proof_correct(self.q_true, pred(label="true", proof=None))
+        assert not ek.proof_correct(self.inst, self.q_true, pred(label="true", proof=None))
 
     def test_unknown_must_carry_no_proof(self):
-        assert ek.proof_correct(self.q_unknown, pred(label="unknown", proof=None))
+        assert ek.proof_correct(self.inst, self.q_unknown, pred(label="unknown", proof=None))
         assert not ek.proof_correct(
-            self.q_unknown, pred(label="unknown", proof="sent1 -> hypothesis")
+            self.inst, self.q_unknown, pred(label="unknown", proof="sent1 -> hypothesis")
         )
+
+
+def diamond_ladder_lines(layers=7):
+    """Bob is a0; a_i -> b_i, a_i -> c_i, b_i -> a_i+1, c_i -> a_i+1.
+
+    2**layers equal-depth proofs of the last a, more than the gold cap of
+    64 once layers reach 7. The rule order (a->b, a->c, c->a, b->a) makes
+    both strategies find a sound proof that the capped list leaves out.
+    """
+    def attr(kind, i):
+        return f"{kind}{'abcdefgh'[i]}x"
+
+    rule = "If someone is {} then they are {}."
+    lines = [f"Bob is {attr('a', 0)}."]
+    lines += [rule.format(attr("a", i), attr("b", i)) for i in range(layers)]
+    lines += [rule.format(attr("a", i), attr("c", i)) for i in range(layers)]
+    lines += [rule.format(attr("c", i), attr("a", i + 1)) for i in range(layers)]
+    lines += [rule.format(attr("b", i), attr("a", i + 1)) for i in range(layers)]
+    return lines, f"Bob is {attr('a', layers)}."
+
+
+class TestProofCorrectTruncatedGold:
+    def setup_method(self):
+        lines, text = diamond_ladder_lines()
+        self.inst = make_instance(lines, [text])
+        (self.q,) = self.inst.questions
+
+    def test_gold_set_is_capped(self):
+        assert len(self.q.annotation.proofs) == 64
+        assert self.q.annotation.proofs_truncated
+
+    @pytest.mark.parametrize("strategy", ["goal", "exhaustive"])
+    def test_sound_unlisted_proof_counts(self, strategy):
+        (p,) = ek.predict_instance(self.inst, strategy)
+        assert p.proof not in self.q.annotation.proofs
+        assert ek.proof_correct(self.inst, self.q, p)
+        assert ek.score_proof([self.inst], [p]) == 1.0
+
+    def test_unsound_unlisted_proof_rejected(self):
+        bad = pred(self.q.id, label="true", proof="sent1 -> hypothesis")
+        assert not ek.proof_correct(self.inst, self.q, bad)
 
 
 class TestInferencePR:
@@ -208,22 +253,6 @@ class TestEfficiency:
 # Consistency
 # ---------------------------------------------------------------------------
 
-class TestRenameProof:
-    def test_none_and_empty_mapping_pass_through(self):
-        assert ek.rename_proof(None, {"Bob": "Carl"}) is None
-        assert ek.rename_proof(CHAIN2_PROOF, {}) == CHAIN2_PROOF
-
-    def test_identity_on_canonical_proofs(self):
-        mapping = {"Bob": "Carl", "blue": "maroon"}
-        assert ek.rename_proof(CHAIN2_PROOF, mapping) == CHAIN2_PROOF
-
-    def test_rewrites_whole_tokens_only(self):
-        assert ek.rename_proof("cat category cat", {"cat": "dog"}) == "dog category dog"
-
-    def test_swap_does_not_chain(self):
-        assert ek.rename_proof("a b", {"a": "b", "b": "a"}) == "b a"
-
-
 class TestQuestionConsistency:
     def test_fraction_of_matching_variants(self):
         base = pred("b", label="true", proof="sent1 -> hypothesis")
@@ -238,19 +267,10 @@ class TestQuestionConsistency:
         variants = [pred("v0", label="unknown", proof=None)]
         assert ek.question_consistency(base, variants) == (1.0, 1.0)
 
-    def test_inverse_maps_applied_before_comparison(self):
-        base = pred("b", proof="x -> hypothesis")
-        variants = [pred("v0", proof="y -> hypothesis")]
-        entail, proof = ek.question_consistency(base, variants, [{"y": "x"}])
-        assert (entail, proof) == (1.0, 1.0)
-        entail, proof = ek.question_consistency(base, variants, [None])
-        assert (entail, proof) == (1.0, 0.0)
-
     def test_needs_variants_and_matching_maps(self):
+        # Proofs are compared as they are; no per-variant map is taken.
         with pytest.raises(ValueError, match="at least one variant"):
             ek.question_consistency(pred("b"), [])
-        with pytest.raises(ValueError, match="one inverse map per variant"):
-            ek.question_consistency(pred("b"), [pred("v0")], [])
 
 
 class TestScoreConsistency:
@@ -415,7 +435,7 @@ def test_strict_proof_accuracy_never_exceeds_entailment_accuracy(seed, budget):
     by_id = ek.index_predictions(preds)
     for q in inst.questions:
         p = by_id[q.id]
-        assert ek.proof_correct(q, p) <= ek.label_correct(q, p)
+        assert ek.proof_correct(inst, q, p) <= ek.label_correct(q, p)
 
 
 @settings(max_examples=15, deadline=None)

@@ -17,7 +17,6 @@ from rulechain.reasoner import (
     applicable_bindings,
     check_proof,
     compose,
-    replay_store,
     run,
     solve,
     step,
@@ -190,9 +189,10 @@ def test_negative_budget_rejected(chain2):
 
 def test_replay_rebuilds_the_store(chain2):
     _, trace = run_exhaustive(chain2, "Bob is smart.")
-    store = replay_store(trace)
+    store = trace.store
     assert store.has_atom(Atom(Entity(PROPER, "Bob"), IsAttr("smart"), True))
-    assert len(store.derived) == 2
+    assert [f.id for f in store.derived] == [s.conclusion.id for s in trace.steps]
+    assert [f.atom for f in store.derived] == trace.conclusions()
 
 
 def test_trace_json_shape(chain2):
@@ -254,16 +254,6 @@ def test_conjunctive_step_sorts_fact_ids(conj):
     statement, trace = run_exhaustive(conj, "Dave is happy.")
     verdict = solve(conj, statement, trace)
     assert verdict.proof.canonical_form == CONJ_PROOF
-
-
-def test_proof_graph_nodes_and_edges(chain2):
-    statement, trace = run_exhaustive(chain2, "Bob is smart.")
-    proof = solve(chain2, statement, trace).proof
-    assert set(proof.nodes) == {"sent1", "sent2", "sent3", "int1", "hypothesis"}
-    assert ("sent1", "sent2") in proof.edges
-    assert ("sent2", "int1") in proof.edges
-    assert ("int1", "sent3") in proof.edges
-    assert ("sent3", "hypothesis") in proof.edges
 
 
 def test_stitch_is_deterministic_across_runs(chain2):

@@ -15,12 +15,14 @@ from rulechain.reasoner import (
     STOP_STRATEGY,
     run,
     solve,
+    step,
 )
 from rulechain.strategies import (
     ExhaustiveStrategy,
     GoalDirectedStrategy,
     STRATEGY_NAMES,
     atom_pattern,
+    candidates,
     make_strategy,
     relevance_cone,
 )
@@ -197,11 +199,46 @@ def test_goal_never_needs_more_compositions_than_exhaustive(seed):
             assert goal.composer_calls <= exhaustive.composer_calls
 
 
+def walk_one_enumeration(theory, statement, plain, shuffled, cone):
+    """Drive the shuffled strategy by hand. At every step the plain
+    strategy's decision must be the first candidate and the shuffled one
+    must be among the candidates; with a cone, both stop at the goal."""
+    goal, anti_goal = statement.atom, statement.atom.negated()
+    store = FactStore(theory)
+    while True:
+        pool = list(candidates(store, theory, cone))
+        first = plain.select(store, theory, statement)
+        choice = shuffled.select(store, theory, statement)
+        if cone is not None and (store.has_atom(goal) or store.has_atom(anti_goal)):
+            assert first == STOP and choice == STOP
+            return
+        if not pool:
+            assert first == STOP and choice == STOP
+            return
+        assert first == pool[0]
+        assert choice in pool
+        step(store, choice)
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 99))
 def test_shuffled_selection_changes_order_not_verdicts(seed, shuffle_seed):
     for inst in small_instances(seed):
+        walk_one_enumeration(
+            inst.theory,
+            inst.questions[0].statement,
+            ExhaustiveStrategy(),
+            ExhaustiveStrategy(random.Random(shuffle_seed)),
+            None,
+        )
         for q in inst.questions:
+            walk_one_enumeration(
+                inst.theory,
+                q.statement,
+                GoalDirectedStrategy(inst.theory, q.statement),
+                GoalDirectedStrategy(inst.theory, q.statement, random.Random(shuffle_seed)),
+                relevance_cone(inst.theory, q.statement),
+            )
             plain = solve(
                 inst.theory,
                 q.statement,

@@ -250,6 +250,29 @@ def test_rule_conclusion_variable_needs_premise_variable():
         )
 
 
+def test_quantified_rule_needs_a_variable_premise():
+    bob = Entity(PROPER, "Bob")
+    with pytest.raises(ValueError, match="exactly when it is quantified"):
+        Rule(
+            "sent1",
+            (Atom(bob, IsAttr("blue"), True),),
+            Atom(bob, IsAttr("kind"), True),
+            "people",
+            RuleStyle(),
+        )
+
+
+@pytest.mark.parametrize("where", ["premise", "conclusion"])
+def test_rule_variable_never_in_object_position(where):
+    # The grammar has no sentence whose relation object is the variable.
+    bound = Atom(X, IsAttr("blue"), True)
+    object_var = Atom(Entity(PROPER, "Bob"), Rel("like", X), True)
+    premises = (bound, object_var) if where == "premise" else (bound,)
+    conclusion = object_var if where == "conclusion" else Atom(X, IsAttr("kind"), True)
+    with pytest.raises(ValueError, match="only be a subject"):
+        Rule("sent1", premises, conclusion, "things", RuleStyle())
+
+
 def test_entity_surface_case_is_validated():
     with pytest.raises(ValueError):
         Entity(PROPER, "bob")
