@@ -7,14 +7,20 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from pathlib import Path
 
 
+def _write(path: "str | Path", text: str) -> None:
+    """Replace the file's contents in place: truncating on open costs 10-70 ms
+    on ext4 mounted with ``discard`` once the old blocks were written back."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def write_jsonl(path: "str | Path", rows: "list[dict]") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+    _write(path, "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in rows))
 
 
 def read_jsonl(path: "str | Path") -> list[dict]:
@@ -39,7 +45,4 @@ def row_line(path: "str | Path", index: int) -> int:
 
 
 def write_json(path: "str | Path", obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
+    _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")

@@ -342,6 +342,21 @@ class TestEval:
         code, _, _ = run_cli(capsys, "eval", "--data", str(tmp_path / "absent.jsonl"))
         assert code == 2
 
+    def test_outputs_replace_longer_existing_files(self, dataset, tmp_path, capsys):
+        # Outputs are rewritten in place, so a longer old file must be cut.
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        for out in (fresh, stale):
+            out.mkdir()
+        for name in ("report.json", "preds.jsonl"):
+            (stale / name).write_text("x" * 100_000 + "\n", encoding="utf-8")
+        for out in (fresh, stale):
+            assert run_cli(
+                capsys, "eval", "--data", str(dataset), "--report", str(out / "report.json"),
+                "--predictions-out", str(out / "preds.jsonl"),
+            )[0] == 0
+        for name in ("report.json", "preds.jsonl"):
+            assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+
 
 # ---------------------------------------------------------------------------
 # emit-training
