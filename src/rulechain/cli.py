@@ -28,6 +28,7 @@ from .datagen import (
     seed_substream,
 )
 from .evalkit import (
+    GoldProofError,
     budget_curve,
     build_report,
     efficiency_ratio,
@@ -320,9 +321,13 @@ def _cmd_eval(args) -> int:
         ex_preds = other if args.strategy == "goal" else preds
         efficiency = efficiency_ratio(goal_preds, ex_preds)
 
-    report = build_report(
-        instances, preds, args.strategy, args.budget, consistency, efficiency
-    )
+    try:
+        report = build_report(
+            instances, preds, args.strategy, args.budget, consistency, efficiency
+        )
+    except GoldProofError as e:
+        line = row_line(args.data, instances.index(e.instance))
+        raise CliError(f"{args.data}:{line} (id {e.question.id!r}): {e}") from None
     if args.predictions_out:
         write_jsonl(args.predictions_out, [prediction_to_json(p) for p in all_preds])
     if args.report:

@@ -189,12 +189,23 @@ def proof_correct(instance: Instance, question: Question, prediction: Prediction
     return True
 
 
+class GoldProofError(ProofCheckError):
+    """A gold proof of a dataset question that fails ``check_proof``."""
+
+    def __init__(self, instance: Instance, question: Question, message: str):
+        super().__init__(message)
+        self.instance, self.question = instance, question
+
+
 def _gold_conclusion_sets(instance: Instance, question: Question) -> list[set[str]]:
     """One set of conclusion texts per gold proof (final step included)."""
     ann = question.annotation
     sets = []
     for proof in ann.proofs:
-        atoms = check_proof(instance.theory, question.statement, ann.label, proof)
+        try:
+            atoms = check_proof(instance.theory, question.statement, ann.label, proof)
+        except ProofCheckError as e:
+            raise GoldProofError(instance, question, str(e)) from None
         sets.append({render(a) for a in atoms})
     return sets
 

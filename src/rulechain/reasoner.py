@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .theory import (
@@ -193,18 +194,16 @@ def _quantifier_allows(rule: Rule, entity: Entity) -> bool:
     return True
 
 
-def applicable_bindings(rule: Rule, store: FactStore) -> list[Binding]:
-    """Every binding whose premises are all present in the store, in
-    canonical order: candidate entities by first mention in the theory;
-    a ground rule contributes at most one binding."""
+def applicable_bindings(
+    rule: Rule, store: FactStore, entities: Iterable[Entity | None]
+) -> list[Binding]:
+    """The bindings among ``entities`` whose premises are all present in the
+    store, in the order given. ``None`` stands for a ground rule's one
+    binding; entities the rule's quantifier excludes are skipped."""
     bindings: list[Binding] = []
-    has_var = rule.quantifier != QUANT_NONE
-    candidates: list[Entity | None] = (
-        [e for e in store.entity_order if _quantifier_allows(rule, e)]
-        if has_var
-        else [None]
-    )
-    for entity in candidates:
+    for entity in entities:
+        if entity is not None and not _quantifier_allows(rule, entity):
+            continue
         fact_ids: list[str] = []
         for premise in rule.premises:
             fact = store.fact_for(substitute(premise, entity))

@@ -21,17 +21,22 @@ negation) lies inside the cone, so both strategies always agree on the
 verdict; the goal trace is a subsequence of the exhaustive closure and never
 takes more one-hop steps.
 
-Both strategies select from one enumeration, ``candidates``: the novel
-(rule, binding) decisions in canonical order, rules in theory order and
-bindings in canonical order. Deterministic selection takes the first
-decision, so nothing past it is enumerated. Passing ``shuffle_rng``
-switches to a seeded random choice among all of them, for experiments that
-need stochastic selection; determinism then holds per seed.
+Both strategies select from an ``Agenda``, one per store. It indexes the
+rules by premise predicate and polarity, and each select first reads the
+facts the store gained since the last one: an arriving fact grounds only
+the rules with a matching premise, for only the entities it can bind, and
+pushes each (rule, entity) pair it completes onto a heap keyed by (rule
+index, entity rank), which is canonical order. Pairs stay applicable and
+conclusions stay stored, so the smallest entry not yet concluded is exactly
+what a rescan of all rules x entities would pick first, at a cost of about
+one grounding per closure fact instead of rules x entities per step.
+Passing ``shuffle_rng`` switches to a seeded random choice among all live
+entries (``candidates``); determinism then holds per seed.
 """
 from __future__ import annotations
 
+import heapq
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .reasoner import (
@@ -42,7 +47,7 @@ from .reasoner import (
     applicable_bindings,
     compose,
 )
-from .theory import Atom, Entity, IsAttr, Statement, Theory, Var
+from .theory import QUANT_NONE, Atom, Entity, IsAttr, Rule, Statement, Theory, Var
 
 WILDCARD = "*"
 
@@ -63,18 +68,8 @@ class Pattern:
     positive: bool
     subject_key: str  # entity key or WILDCARD
 
-    def matches(self, atom: Atom) -> bool:
-        if self.positive != atom.positive:
-            return False
-        if isinstance(atom.pred, IsAttr):
-            if self.kind != "attr" or self.token != atom.pred.attr:
-                return False
-        else:
-            if self.kind != "rel" or self.token != atom.pred.verb:
-                return False
-            if self.obj_key != _entity_key(atom.pred.obj):
-                return False
-        return self.subject_key in (WILDCARD, _entity_key(atom.subject))
+    def widened(self) -> Pattern:
+        return Pattern(self.kind, self.token, self.obj_key, self.positive, WILDCARD)
 
 
 def atom_pattern(atom: Atom) -> Pattern:
@@ -90,17 +85,6 @@ def atom_pattern(atom: Atom) -> Pattern:
     )
 
 
-def _conclusion_can_match(conclusion: Atom, pattern: Pattern) -> bool:
-    """Can some grounding of this rule conclusion land on the pattern?"""
-    concl = atom_pattern(conclusion)
-    shape = (concl.kind, concl.token, concl.obj_key, concl.positive)
-    if shape != (pattern.kind, pattern.token, pattern.obj_key, pattern.positive):
-        return False
-    return WILDCARD in (concl.subject_key, pattern.subject_key) or (
-        concl.subject_key == pattern.subject_key
-    )
-
-
 @dataclass
 class RelevanceCone:
     """Rules and atom patterns backward-reachable from a statement."""
@@ -109,7 +93,8 @@ class RelevanceCone:
     patterns: frozenset[Pattern]
 
     def admits(self, atom: Atom) -> bool:
-        return any(p.matches(atom) for p in self.patterns)
+        pattern = atom_pattern(atom)
+        return pattern in self.patterns or pattern.widened() in self.patterns
 
 
 def relevance_cone(theory: Theory, statement: Statement) -> RelevanceCone:
@@ -117,72 +102,133 @@ def relevance_cone(theory: Theory, statement: Statement) -> RelevanceCone:
 
     Seed with both polarities of the statement; whenever a rule's conclusion
     unifies with a cone pattern, admit the rule and the patterns of its
-    premises. Iterate to fixpoint (monotone over a finite pattern space).
+    premises. Rules are indexed by conclusion shape and a worklist hands
+    each new pattern to the rules of its shape, so the least fixpoint is
+    reached without rescanning every rule per pass.
     """
-    patterns: set[Pattern] = {
-        atom_pattern(statement.atom),
-        atom_pattern(statement.atom.negated()),
-    }
+    by_shape: dict[Pattern, list[tuple[Rule, str]]] = {}
+    for rule in theory.rules:
+        concl = atom_pattern(rule.conclusion)
+        by_shape.setdefault(concl.widened(), []).append((rule, concl.subject_key))
+    work = [atom_pattern(statement.atom), atom_pattern(statement.atom.negated())]
+    patterns: set[Pattern] = set(work)
     rule_ids: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for rule in theory.rules:
-            if rule.id in rule_ids:
+    while work:
+        pattern = work.pop()
+        for rule, subject_key in by_shape.get(pattern.widened(), ()):
+            keys = {subject_key, pattern.subject_key}
+            if rule.id in rule_ids or (len(keys) == 2 and WILDCARD not in keys):
                 continue
-            if any(_conclusion_can_match(rule.conclusion, p) for p in patterns):
-                rule_ids.add(rule.id)
-                changed = True
-                for premise in rule.premises:
-                    patterns.add(atom_pattern(premise))
+            rule_ids.add(rule.id)
+            for new in map(atom_pattern, rule.premises):
+                if new not in patterns:
+                    patterns.add(new)
+                    work.append(new)
     return RelevanceCone(frozenset(rule_ids), frozenset(patterns))
+
+
+class Agenda:
+    """The novel decisions of one store, smallest (rule index, entity rank)
+    first. With a cone, only cone rules and in-cone conclusions count."""
+
+    def __init__(self, store: FactStore, theory: Theory, cone: RelevanceCone | None = None):
+        self.store = store
+        self.cone = cone
+        self._rank = {e: i for i, e in enumerate(store.entity_order)}
+        self._by_premise: dict[tuple, list[tuple[int, Rule, Atom]]] = {}
+        for i, rule in enumerate(theory.rules):
+            if cone is None or rule.id in cone.rule_ids:
+                for p in rule.premises:
+                    self._by_premise.setdefault((p.pred, p.positive), []).append((i, rule, p))
+        self._heap: list[tuple[int, int, Atom, Proceed]] = []
+        self._pushed: set[tuple[int, int]] = set()
+        self._seen = 0  # derived facts already read
+        for fact in store.given:
+            self._arrive(fact.atom)
+
+    def _arrive(self, atom: Atom) -> None:
+        """Push every (rule, entity) pair this fact completes. A variable
+        premise binds the fact's subject; an equal ground premise offers a
+        ground rule's one binding, or every entity of a quantified rule."""
+        for i, rule, premise in self._by_premise.get((atom.pred, atom.positive), ()):
+            if isinstance(premise.subject, Var):
+                entities = (atom.subject,)
+            elif premise == atom:
+                entities = self.store.entity_order if rule.quantifier != QUANT_NONE else (None,)
+            else:
+                continue
+            for binding in applicable_bindings(rule, self.store, entities):
+                rank = -1 if binding.entity is None else self._rank[binding.entity]
+                if (i, rank) in self._pushed:
+                    continue
+                self._pushed.add((i, rank))
+                conclusion = compose(rule, binding)
+                if self.store.has_atom(conclusion):
+                    continue
+                if self.cone is not None and not self.cone.admits(conclusion):
+                    continue
+                heapq.heappush(self._heap, (i, rank, conclusion, Proceed(rule.id, binding)))
+
+    def _catch_up(self) -> None:
+        for fact in self.store.derived[self._seen:]:
+            self._arrive(fact.atom)
+        self._seen = len(self.store.derived)
+
+    def first(self) -> Proceed | Stop:
+        """The smallest decision whose conclusion is not stored yet."""
+        self._catch_up()
+        while self._heap and self.store.has_atom(self._heap[0][2]):
+            heapq.heappop(self._heap)
+        return self._heap[0][3] if self._heap else STOP
+
+    def live(self) -> list[Proceed]:
+        """Every decision whose conclusion is not stored yet, smallest first."""
+        self._catch_up()
+        # a sorted list is a heap, so the pruned entries stay the heap
+        self._heap = sorted(e for e in self._heap if not self.store.has_atom(e[2]))
+        return [e[3] for e in self._heap]
 
 
 def candidates(
     store: FactStore,
     theory: Theory,
     cone: RelevanceCone | None = None,
-) -> Iterator[Proceed]:
-    """Every novel (rule, binding) decision, in canonical order.
-
-    Rules come in theory order and bindings in canonical order. A decision
-    is novel when its conclusion is not yet in the store; with a cone, only
-    cone rules and in-cone conclusions count.
-    """
-    for rule in theory.rules:
-        if cone is not None and rule.id not in cone.rule_ids:
-            continue
-        for binding in applicable_bindings(rule, store):
-            conclusion = compose(rule, binding)
-            if store.has_atom(conclusion):
-                continue
-            if cone is not None and not cone.admits(conclusion):
-                continue
-            yield Proceed(rule.id, binding)
+) -> list[Proceed]:
+    """Every novel (rule, binding) decision, in canonical order: rules in
+    theory order, bindings in entity order. A decision is novel when its
+    conclusion is not yet in the store; with a cone, only cone rules and
+    in-cone conclusions count."""
+    return Agenda(store, theory, cone).live()
 
 
-def _choose(decisions: Iterator[Proceed], rng: random.Random | None) -> Proceed | Stop:
-    """The first decision, or a seeded random one; Stop when there is none."""
-    if rng is None:
-        return next(decisions, STOP)
-    pool = list(decisions)
-    return rng.choice(pool) if pool else STOP
+class _AgendaSelection:
+    """The first decision of the store's agenda, or a seeded random one."""
+
+    def __init__(self, shuffle_rng: random.Random | None = None, cone: RelevanceCone | None = None):
+        self.cone = cone
+        self.shuffle_rng = shuffle_rng
+        self._agenda: Agenda | None = None
+
+    def _decide(self, store: FactStore, theory: Theory) -> Proceed | Stop:
+        if self._agenda is None or self._agenda.store is not store:
+            self._agenda = Agenda(store, theory, self.cone)
+        if self.shuffle_rng is None:
+            return self._agenda.first()
+        pool = self._agenda.live()
+        return self.shuffle_rng.choice(pool) if pool else STOP
 
 
-class ExhaustiveStrategy:
+class ExhaustiveStrategy(_AgendaSelection):
     """Derive everything derivable; stop only at fixpoint."""
 
     name = "exhaustive"
     goal_directed = False
 
-    def __init__(self, shuffle_rng: random.Random | None = None):
-        self.shuffle_rng = shuffle_rng
-
     def select(self, store: FactStore, theory: Theory, statement: Statement | None = None):
-        return _choose(candidates(store, theory), self.shuffle_rng)
+        return self._decide(store, theory)
 
 
-class GoalDirectedStrategy:
+class GoalDirectedStrategy(_AgendaSelection):
     """Derive only inside the statement's relevance cone."""
 
     name = "goal"
@@ -194,9 +240,8 @@ class GoalDirectedStrategy:
         statement: Statement,
         shuffle_rng: random.Random | None = None,
     ):
+        super().__init__(shuffle_rng, relevance_cone(theory, statement))
         self.statement = statement
-        self.cone = relevance_cone(theory, statement)
-        self.shuffle_rng = shuffle_rng
 
     def select(self, store: FactStore, theory: Theory, statement: Statement | None = None):
         """Stop once the goal or its negation is in the store, else choose
@@ -204,7 +249,7 @@ class GoalDirectedStrategy:
         stmt = statement or self.statement
         if store.has_atom(stmt.atom) or store.has_atom(stmt.atom.negated()):
             return STOP
-        return _choose(candidates(store, theory, self.cone), self.shuffle_rng)
+        return self._decide(store, theory)
 
 
 STRATEGY_NAMES = ("exhaustive", "goal")

@@ -464,6 +464,19 @@ class TestMalformedRows:
         assert why in err
 
 
+    def test_corrupt_gold_proof_exits_1_with_location(self, dataset, tmp_path, capsys):
+        row = json.loads(dataset.read_text(encoding="utf-8").splitlines()[1])
+        question = next(q for q in row["questions"] if q["label"] != "unknown")
+        question["proofs"] = ["(sent1 & sent2) -> hypothesis"]
+        bad = with_bad_row(dataset, tmp_path, json.dumps(row))
+        code, _, err = run_cli(
+            capsys, "eval", "--data", str(bad), "--report", str(tmp_path / "r.json")
+        )
+        assert code == 1
+        assert err.startswith(f"error: {bad}:3 (id {question['id']!r}): ")
+        assert "Traceback" not in err
+
+
 class TestJobs:
     @pytest.mark.parametrize("command", ["eval", "bench"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])

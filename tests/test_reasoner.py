@@ -77,9 +77,12 @@ def test_bindings_follow_first_mention_order():
         ]
     )
     rule = theory.rules[0]
-    bindings = applicable_bindings(rule, FactStore(theory))
+    store = FactStore(theory)
+    bindings = applicable_bindings(rule, store, store.entity_order)
     assert [b.entity.surface for b in bindings] == ["Dave", "Anne"]
     assert [b.fact_ids for b in bindings] == [("sent1",), ("sent2",)]
+    backwards = applicable_bindings(rule, store, store.entity_order[::-1])
+    assert [b.entity.surface for b in backwards] == ["Anne", "Dave"]
 
 
 def test_people_rules_skip_animals():
@@ -93,10 +96,11 @@ def test_people_rules_skip_animals():
     )
     store = FactStore(theory)
     people_rule, things_rule = theory.rules
-    assert [b.entity.surface for b in applicable_bindings(people_rule, store)] == [
+    entities = store.entity_order
+    assert [b.entity.surface for b in applicable_bindings(people_rule, store, entities)] == [
         "doctor"
     ]
-    assert [b.entity.surface for b in applicable_bindings(things_rule, store)] == [
+    assert [b.entity.surface for b in applicable_bindings(things_rule, store, entities)] == [
         "cat",
         "doctor",
     ]
@@ -106,7 +110,7 @@ def test_ground_rule_yields_at_most_one_binding(conj):
     theory = parse_theory(
         ["Bob is blue.", "If Bob is blue then Bob is kind.", "Anne is blue."]
     )
-    bindings = applicable_bindings(theory.rules[0], FactStore(theory))
+    bindings = applicable_bindings(theory.rules[0], FactStore(theory), [None])
     assert len(bindings) == 1
     assert bindings[0].entity is None
     assert bindings[0].fact_ids == ("sent1",)
@@ -114,7 +118,7 @@ def test_ground_rule_yields_at_most_one_binding(conj):
 
 def test_conjunctive_binding_lists_premise_facts_in_premise_order(conj):
     store = FactStore(conj)
-    (binding,) = applicable_bindings(conj.rules[0], store)
+    (binding,) = applicable_bindings(conj.rules[0], store, store.entity_order)
     assert binding.fact_ids == ("sent3", "sent4")
     assert compose(conj.rules[0], binding) == Atom(
         Entity(PROPER, "Dave"), IsAttr("happy"), True

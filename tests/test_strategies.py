@@ -2,11 +2,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rulechain.strategies as strategies_module
 from rulechain.datagen import GenConfig, generate_dataset
 from rulechain.reasoner import (
+    Binding,
     FactStore,
     LABELS,
     Proceed,
@@ -16,17 +18,30 @@ from rulechain.reasoner import (
     run,
     solve,
     step,
+    substitute,
 )
 from rulechain.strategies import (
     ExhaustiveStrategy,
     GoalDirectedStrategy,
+    RelevanceCone,
     STRATEGY_NAMES,
     atom_pattern,
     candidates,
     make_strategy,
     relevance_cone,
 )
-from rulechain.theory import parse_statement, parse_theory, render
+from rulechain.theory import (
+    COMMON,
+    PROPER,
+    QUANT_PEOPLE,
+    QUANT_THINGS,
+    Entity,
+    parse_sentence,
+    parse_statement,
+    parse_theory,
+    render,
+)
+from rulechain.vocab import VERB_3SG
 
 
 def small_instances(seed):
@@ -177,8 +192,10 @@ def test_make_strategy_names():
 
 def test_atom_pattern_matches_itself(chain2):
     atom = parse_statement("Bob is blue.").atom
-    assert atom_pattern(atom).matches(atom)
-    assert not atom_pattern(atom).matches(atom.negated())
+    cone = RelevanceCone(frozenset(), frozenset({atom_pattern(atom)}))
+    assert cone.admits(atom)
+    assert not cone.admits(atom.negated())
+    assert not cone.admits(parse_statement("Anne is blue.").atom)
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +301,283 @@ def test_both_strategies_agree_with_gold(seed):
                     f"{name} on {q.id}: {verdict.label} != {q.annotation.label} "
                     f"for {q.text!r} in {render(inst.theory.facts[0].atom)!r}..."
                 )
+
+
+# ---------------------------------------------------------------------------
+# The agenda against a full rescan, on theories drawn from the grammar
+# ---------------------------------------------------------------------------
+
+# A small vocabulary, and positive attribute clauses drawn most often, so
+# that premises meet facts and theories derive. The cat is not a person:
+# "someone" and "people" never bind it.
+NAMES = ("Bob", "Anne")
+NOUNS = ("cat", "doctor")
+ATTRS = ("red", "big", "kind")
+VERBS = ("like",)
+
+
+def nps():
+    return st.sampled_from(NAMES) | st.sampled_from(NOUNS).map(lambda n: f"the {n}")
+
+
+@st.composite
+def clauses(draw, subject: str, plural: bool):
+    """clause(S, A) of docs/grammar.ebnf; returns (text, is an attribute clause)."""
+    shape = draw(st.sampled_from(("attr", "attr", "attr", "rel", "not rel")))
+    if shape == "attr":
+        negation = draw(st.sampled_from(("", "", "", "not ")))
+        copula = "are" if plural else "is"
+        return f"{subject} {copula} {negation}{draw(st.sampled_from(ATTRS))}", True
+    verb = draw(st.sampled_from(VERBS))
+    if shape == "rel":
+        return f"{subject} {verb if plural else VERB_3SG[verb]} {draw(nps())}", False
+    aux = "do" if plural else "does"
+    return f"{subject} {aux} not {verb} {draw(nps())}", False
+
+
+def sentence_case(text: str) -> str:
+    return text[0].upper() + text[1:]
+
+
+@st.composite
+def facts(draw):
+    text, _ = draw(clauses(draw(nps()), plural=False))
+    return sentence_case(text) + "."
+
+
+@st.composite
+def if_rules(draw):
+    intro = draw(st.sampled_from(("someone", "something")) | nps())
+    anaphor = {"someone": "they", "something": "it"}.get(intro)
+
+    def restated():
+        subject = draw(st.sampled_from((anaphor,)) | nps()) if anaphor else draw(nps())
+        return draw(clauses(subject, plural=subject == "they"))
+
+    text, attr_clause = draw(clauses(intro, plural=False))
+    parts = [text]
+    for _ in range(draw(st.integers(0, 2))):
+        if attr_clause and draw(st.booleans()):
+            negation = draw(st.sampled_from(("", "not ")))
+            parts.append(f"{negation}{draw(st.sampled_from(ATTRS))}")
+        else:
+            text, attr_clause = restated()
+            parts.append(text)
+    conclusion, _ = restated()
+    return f"If {' and '.join(parts)} then {conclusion}."
+
+
+@st.composite
+def sort_rules(draw):
+    """All and bare rules; the parser takes at most two attributes."""
+    attrs = ", ".join(draw(st.lists(st.sampled_from(ATTRS), min_size=1, max_size=2)))
+    tail = f"{draw(st.sampled_from(('people', 'things')))} are {draw(st.sampled_from(ATTRS))}."
+    if draw(st.booleans()):
+        return f"All {attrs} {tail}"
+    return f"{sentence_case(attrs)} {tail}"
+
+
+ENTITIES = tuple(Entity(PROPER, n) for n in NAMES) + tuple(Entity(COMMON, n) for n in NOUNS)
+
+
+@st.composite
+def theories(draw):
+    """Facts and rules drawn from the grammar, plus, so that rules fire and
+    chain, facts stating some premises of some rules on a drawn entity."""
+    rules = draw(st.lists(if_rules() | sort_rules(), min_size=2, max_size=6))
+    lines = draw(st.lists(facts(), max_size=6)) + rules
+    for text in rules:
+        entity = draw(st.sampled_from(ENTITIES))
+        for premise in parse_sentence(text).premises:
+            if draw(st.sampled_from((True, True, False))):
+                lines.append(render(substitute(premise, entity)))
+    return draw(st.permutations(lines))
+
+
+def reference_candidates(store, theory, cone=None):
+    """The rescan the agenda replaces: every rule in theory order, every
+    entity in first-mention order, checked against the whole store."""
+    out = []
+    for rule in theory.rules:
+        if cone is not None and rule.id not in cone.rule_ids:
+            continue
+        entities = [None]
+        if rule.quantifier == QUANT_PEOPLE:
+            entities = [e for e in store.entity_order if e.is_person]
+        elif rule.quantifier == QUANT_THINGS:
+            entities = list(store.entity_order)
+        for entity in entities:
+            premises = [store.fact_for(substitute(p, entity)) for p in rule.premises]
+            if any(f is None for f in premises):
+                continue
+            conclusion = substitute(rule.conclusion, entity)
+            if store.has_atom(conclusion):
+                continue
+            if cone is not None and not any(matches(p, conclusion) for p in cone.patterns):
+                continue
+            out.append(Proceed(rule.id, Binding(entity, tuple(f.id for f in premises))))
+    return out
+
+
+def matches(pattern, atom):
+    """Does the pattern match the ground atom, field by field?"""
+    concl = atom_pattern(atom)
+    return (pattern.kind, pattern.token, pattern.obj_key, pattern.positive) == (
+        concl.kind, concl.token, concl.obj_key, concl.positive
+    ) and pattern.subject_key in ("*", concl.subject_key)
+
+
+def reference_cone(theory, statement):
+    """The cone by rescanning every rule against every pattern to fixpoint."""
+
+    def can_land(conclusion, pattern):
+        concl = atom_pattern(conclusion)
+        if (concl.kind, concl.token, concl.obj_key, concl.positive) != (
+            pattern.kind, pattern.token, pattern.obj_key, pattern.positive
+        ):
+            return False
+        keys = (concl.subject_key, pattern.subject_key)
+        return "*" in keys or keys[0] == keys[1]
+
+    patterns = {atom_pattern(statement.atom), atom_pattern(statement.atom.negated())}
+    rule_ids = set()
+    changed = True
+    while changed:
+        changed = False
+        for rule in theory.rules:
+            if rule.id in rule_ids or not any(can_land(rule.conclusion, p) for p in patterns):
+                continue
+            rule_ids.add(rule.id)
+            patterns.update(atom_pattern(p) for p in rule.premises)
+            changed = True
+    return rule_ids, patterns
+
+
+def walk_against_the_rescan(lines, statement_text, schedule, shuffle_seed):
+    """Drive four strategies over one store: exhaustive and goal, each
+    deterministic and shuffled. At every step each one's decision must be
+    what the rescan prescribes, and ``candidates`` must equal the rescan.
+    The schedule picks whose decision grows the store, so each agenda also
+    catches up on facts another strategy chose."""
+    theory = parse_theory(lines)
+    statement = parse_statement(statement_text)
+    cone = relevance_cone(theory, statement)
+    assert (cone.rule_ids, cone.patterns) == reference_cone(theory, statement)
+    goal, anti_goal = statement.atom, statement.atom.negated()
+
+    def goal_reached(store):
+        return store.has_atom(goal) or store.has_atom(anti_goal)
+
+    # (strategy, a copy of its shuffle rng, whether it works in the cone)
+    strategies = [
+        (ExhaustiveStrategy(), None, False),
+        (ExhaustiveStrategy(random.Random(shuffle_seed)), random.Random(shuffle_seed), False),
+        (GoalDirectedStrategy(theory, statement), None, True),
+        (
+            GoalDirectedStrategy(theory, statement, random.Random(shuffle_seed)),
+            random.Random(shuffle_seed),
+            True,
+        ),
+    ]
+    store = FactStore(theory)
+    for turn in range(1000):
+        pools = [reference_candidates(store, theory), reference_candidates(store, theory, cone)]
+        assert candidates(store, theory) == pools[False]
+        assert candidates(store, theory, cone) == pools[True]
+        decisions = []
+        for strategy, mirror, in_cone in strategies:
+            pool = [] if in_cone and goal_reached(store) else pools[in_cone]
+            want = STOP if not pool else pool[0] if mirror is None else mirror.choice(pool)
+            assert strategy.select(store, theory, statement) == want
+            decisions.append(want)
+        live = [d for d in decisions if d != STOP]
+        if not live:
+            assert not pools[False]
+            # handed a new store, a strategy starts over from its given facts
+            fresh = FactStore(theory)
+            for strategy, _, in_cone in strategies[::2]:
+                pool = reference_candidates(fresh, theory, cone if in_cone else None)
+                if in_cone and goal_reached(fresh):
+                    pool = []
+                assert strategy.select(fresh, theory, statement) == (pool[0] if pool else STOP)
+            return turn
+        step(store, live[schedule[turn % len(schedule)] % len(live)])
+    raise AssertionError("the closure of a small theory has fewer than 1000 facts")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    lines=theories(),
+    statement_text=facts(),
+    schedule=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    shuffle_seed=st.integers(0, 99),
+)
+@example(
+    lines=[
+        "Bob is big.",
+        "The cat is big.",
+        "If something is big and Bob is red then it is blue.",
+        "The doctor is red.",
+        "If the doctor is red then Bob is red.",
+        "If someone is blue then they see the cat.",
+        "All blue, big people are kind.",
+        "Big things are red.",
+        "If something is big then it is not kind.",
+    ],
+    statement_text="The cat is kind.",
+    schedule=[0, 1, 2, 3],
+    shuffle_seed=0,
+)
+@example(
+    lines=[
+        "Bob is red.",
+        "Bob is not red.",
+        "The cat likes Bob.",
+        "If something likes Bob and it is not red then it is red.",
+        "If someone is red then the cat does not like Bob.",
+        "If Bob is red and Bob is not red then Anne is big.",
+    ],
+    statement_text="Anne is big.",
+    schedule=[3, 1],
+    shuffle_seed=5,
+)
+def test_agenda_decides_like_a_full_rescan(lines, statement_text, schedule, shuffle_seed):
+    walk_against_the_rescan(lines, statement_text, schedule, shuffle_seed)
+
+
+def scaling_lines(n_entities, n_rules):
+    """One fact per entity plus a chain ``If something is aI then it is aJ.``
+    of ``n_rules`` rules: the closure has n_entities * n_rules derived facts."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+
+    def word(i):
+        return letters[i // 26] + letters[i % 26]
+
+    lines = [f"X{word(e)} is z{word(0)}." for e in range(n_entities)]
+    lines += [f"If something is z{word(k)} then it is z{word(k + 1)}." for k in range(n_rules)]
+    return lines
+
+
+def test_selection_work_is_linear_in_the_closure(monkeypatch):
+    """Each arriving fact grounds the one rule it can trigger, so a run
+    grounds rules about once per closure fact, not rules x entities per
+    step as a rescan does."""
+    theory = parse_theory(scaling_lines(40, 40))
+    last = theory.facts[-1].atom.subject.surface
+    statement = parse_statement(f"{last} is zbo.")
+    calls = []
+    original = strategies_module.applicable_bindings
+
+    def counting(*args):
+        calls.append(args[0].id)
+        return original(*args)
+
+    monkeypatch.setattr(strategies_module, "applicable_bindings", counting)
+    exhaustive = run(theory, statement, ExhaustiveStrategy())
+    closure = len(exhaustive.steps)
+    assert closure == 40 * 40
+    assert len(calls) <= 2 * closure
+    calls.clear()
+    goal = run(theory, statement, GoalDirectedStrategy(theory, statement))
+    assert goal.stop_reason == "goal_reached"
+    assert len(calls) <= 2 * closure
