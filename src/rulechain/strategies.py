@@ -204,8 +204,9 @@ def candidates(
 class _AgendaSelection:
     """The first decision of the store's agenda, or a seeded random one."""
 
-    def __init__(self, shuffle_rng: random.Random | None = None, cone: RelevanceCone | None = None):
-        self.cone = cone
+    cone: RelevanceCone | None = None
+
+    def __init__(self, shuffle_rng: random.Random | None = None):
         self.shuffle_rng = shuffle_rng
         self._agenda: Agenda | None = None
 
@@ -235,12 +236,10 @@ class GoalDirectedStrategy(_AgendaSelection):
     goal_directed = True
 
     def __init__(
-        self,
-        theory: Theory,
-        statement: Statement,
-        shuffle_rng: random.Random | None = None,
+        self, theory: Theory, statement: Statement, shuffle_rng: random.Random | None = None
     ):
-        super().__init__(shuffle_rng, relevance_cone(theory, statement))
+        super().__init__(shuffle_rng)
+        self.cone = relevance_cone(theory, statement)
         self.statement = statement
 
     def select(self, store: FactStore, theory: Theory, statement: Statement | None = None):
