@@ -7,6 +7,7 @@ generator constraint failures, malformed rows), 2 on I/O failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -16,6 +17,7 @@ from pathlib import Path
 from . import SCHEMA_VERSIONS, __version__
 from .datagen import (
     GenConfig,
+    GoldProofError,
     MODES,
     d3_like_config,
     emit_training_records,
@@ -28,7 +30,6 @@ from .datagen import (
     seed_substream,
 )
 from .evalkit import (
-    GoldProofError,
     budget_curve,
     build_report,
     efficiency_ratio,
@@ -136,6 +137,17 @@ def _parse_rows(path: str, parse) -> list:
 
 def _load_instances(path: str):
     return _parse_rows(path, instance_from_json)
+
+
+@contextlib.contextmanager
+def _gold_rows(path: str, instances: list):
+    """Fail the command with the path, line and id of a loaded row whose
+    gold proofs turn out to be unusable."""
+    try:
+        yield
+    except GoldProofError as e:
+        line = row_line(path, instances.index(e.instance))
+        raise CliError(f"{path}:{line} (id {e.item_id!r}): {e}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,10 +287,10 @@ def _cmd_solve(args) -> int:
     statement = parse_statement(args.statement)
     strategy = make_strategy(args.strategy, theory, statement, args.shuffle_seed)
     trace = run(theory, statement, strategy, args.budget)
-    verdict = solve(theory, statement, trace)
+    verdict = solve(statement, trace)
     out = {
         "label": verdict.label,
-        "proof": verdict.proof.canonical_form if verdict.proof else None,
+        "proof": verdict.proof,
         "composer_calls": trace.composer_calls,
         "stop_reason": trace.stop_reason,
     }
@@ -321,13 +333,10 @@ def _cmd_eval(args) -> int:
         ex_preds = other if args.strategy == "goal" else preds
         efficiency = efficiency_ratio(goal_preds, ex_preds)
 
-    try:
+    with _gold_rows(args.data, instances):
         report = build_report(
             instances, preds, args.strategy, args.budget, consistency, efficiency
         )
-    except GoldProofError as e:
-        line = row_line(args.data, instances.index(e.instance))
-        raise CliError(f"{args.data}:{line} (id {e.question.id!r}): {e}") from None
     if args.predictions_out:
         write_jsonl(args.predictions_out, [prediction_to_json(p) for p in all_preds])
     if args.report:
@@ -339,10 +348,11 @@ def _cmd_eval(args) -> int:
 def _cmd_emit_training(args) -> int:
     instances = _load_instances(args.data)
     streams = {"rs": [], "fs": [], "kc": []}
-    for inst in instances:
-        records = emit_training_records(inst)
-        for key in streams:
-            streams[key].extend(records[key])
+    with _gold_rows(args.data, instances):
+        for inst in instances:
+            records = emit_training_records(inst)
+            for key in streams:
+                streams[key].extend(records[key])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for key, rows in streams.items():

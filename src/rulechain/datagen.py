@@ -35,8 +35,9 @@ from .reasoner import (
     LABEL_TRUE,
     LABEL_UNKNOWN,
     LABELS,
-    canonical_proof_steps,
+    ProofCheckError,
     canonical_proof_string,
+    check_proof,
 )
 from .theory import (
     Atom,
@@ -78,6 +79,16 @@ class PoolExhaustedError(ValueError):
 
 class ContradictionError(ValueError):
     """A theory derives both a fact and its negation."""
+
+
+class GoldProofError(ValueError):
+    """A dataset row whose gold proofs cannot be used: a stored proof that
+    fails ``check_proof``, or a theory that contradicts itself. ``item_id``
+    names the question at fault, or the row for a contradiction."""
+
+    def __init__(self, instance: "Instance", item_id: str, message: str):
+        super().__init__(message)
+        self.instance, self.item_id = instance, item_id
 
 
 class _Retry(Exception):
@@ -241,48 +252,24 @@ def _assignment_depth(closure: GoldClosure, assignment: dict, target: Atom) -> i
     return d(target)
 
 
-def _gold_proofs(
-    closure: GoldClosure, target: Atom, cap: int
-) -> tuple[list[tuple[int, str, dict]], bool]:
-    """Sorted (depth, canonical, assignment) triples, minimal depth first."""
+def _gold_proofs(closure: GoldClosure, target: Atom, cap: int) -> tuple[list[str], bool]:
+    """Canonical proof strings of ``target``, minimal depth first, capped,
+    and whether the cap or the enumeration limit cut the set."""
     hard_limit = max(8 * cap, 256)
-    found: dict[str, tuple[int, str, dict]] = {}
+    found: dict[str, int] = {}  # canonical string -> depth
     count = 0
     if target in closure.given:
-        canonical = f"{closure.given[target]} -> hypothesis"
-        found[canonical] = (0, canonical, {})
+        found[canonical_proof_string(target, closure.given, {})] = 0
         count += 1
     if target in closure.derivations:
         for assignment in _proof_assignments(closure, target, hard_limit + 1):
-            canonical = canonical_proof_string(
-                target, closure.given, {a: d for a, d in assignment.items()}
-            )
+            canonical = canonical_proof_string(target, closure.given, assignment)
             if canonical not in found:
-                found[canonical] = (
-                    _assignment_depth(closure, assignment, target),
-                    canonical,
-                    assignment,
-                )
+                found[canonical] = _assignment_depth(closure, assignment, target)
             count += 1
-    ordered = sorted(found.values(), key=lambda t: (t[0], t[1]))
+    ordered = sorted(found, key=lambda c: (found[c], c))
     truncated = len(ordered) > cap or count > hard_limit
     return ordered[:cap], truncated
-
-
-def _gold_target(
-    theory: Theory, statement: Statement, closure: GoldClosure | None
-) -> tuple[GoldClosure, str, Atom | None]:
-    """(closure, gold label, atom the gold proofs prove); the atom is None
-    for unknown statements."""
-    closure = closure if closure is not None else gold_closure(theory)
-    if closure.contradiction:
-        raise ContradictionError(theory.id)
-    atom = statement.atom
-    if closure.knows(atom):
-        return closure, LABEL_TRUE, atom
-    if closure.knows(atom.negated()):
-        return closure, LABEL_FALSE, atom.negated()
-    return closure, LABEL_UNKNOWN, None
 
 
 def assign_gold(
@@ -298,39 +285,17 @@ def assign_gold(
     proof set (canonical strings, minimal depth first, capped) and the
     minimal proof depth; unknown carries no proofs and depth "N/A".
     """
-    closure, label, target = _gold_target(theory, statement, closure)
-    if target is None:
-        return GoldAnnotation(LABEL_UNKNOWN, DEPTH_NA, ())
-    proofs, truncated = _gold_proofs(closure, target, proof_cap)
-    return GoldAnnotation(
-        label,
-        closure.depth[target],
-        tuple(p[1] for p in proofs),
-        truncated,
-    )
-
-
-def gold_proof_steps(
-    theory: Theory,
-    statement: Statement,
-    closure: GoldClosure | None = None,
-    proof_cap: int = 64,
-) -> tuple[str, list[tuple[str, tuple[Atom, ...], Atom]]]:
-    """The label plus the steps of the first gold proof, in canonical order.
-
-    The first gold proof is the one ``assign_gold`` lists first. Unknown
-    statements, and statements that are themselves given facts, have no
-    steps.
-    """
-    closure, label, target = _gold_target(theory, statement, closure)
-    if target is None:
-        return label, []
-    proofs, _ = _gold_proofs(closure, target, proof_cap)
-    _, _, assignment = proofs[0]
-    if not assignment:
-        return label, []
-    steps = canonical_proof_steps(target, closure.given, dict(assignment))
-    return label, steps
+    closure = closure if closure is not None else gold_closure(theory)
+    if closure.contradiction:
+        raise ContradictionError(theory.id)
+    for label, target in (
+        (LABEL_TRUE, statement.atom),
+        (LABEL_FALSE, statement.atom.negated()),
+    ):
+        if closure.knows(target):
+            proofs, truncated = _gold_proofs(closure, target, proof_cap)
+            return GoldAnnotation(label, closure.depth[target], tuple(proofs), truncated)
+    return GoldAnnotation(LABEL_UNKNOWN, DEPTH_NA, ())
 
 
 # ---------------------------------------------------------------------------
@@ -789,12 +754,6 @@ class RenamingMap:
     mode: str
     mapping: dict[str, str]
 
-    def inverse(self) -> dict[str, str]:
-        inv = {v: k for k, v in self.mapping.items()}
-        if len(inv) != len(self.mapping):
-            raise ValueError("renaming is not injective")
-        return inv
-
 
 @dataclass
 class EquivalenceSet:
@@ -983,6 +942,9 @@ def instance_from_json(obj: dict) -> Instance:
         _check_fields(q, _QUESTION_FIELDS, "a question")
         if q["label"] not in LABELS or not all(isinstance(p, str) for p in q["proofs"]):
             raise ValueError(f"question {q['id']}: bad label or proofs")
+        if (q["label"] == LABEL_UNKNOWN) == bool(q["proofs"]):
+            want = "no proofs" if q["label"] == LABEL_UNKNOWN else "at least one proof"
+            raise ValueError(f"question {q['id']}: {q['label']} questions carry {want}")
         ann = GoldAnnotation(
             q["label"],
             q["depth"],
@@ -1020,22 +982,35 @@ def equivalence_from_row(row: dict) -> tuple[str, int, RenamingMap, Instance]:
 def emit_training_records(instance: Instance) -> dict[str, list[dict]]:
     """Per-question supervision records for the three learned roles.
 
-    For every gold proof step there is one rule-selection record (which rule
-    to fire given the statement, the facts so far, and all rules), one
-    fact-selection record (which fact indices feed that rule), and one
-    composition record (rule text plus fact texts to conclusion text). Each
-    question additionally contributes one terminal rule-selection record
-    whose output is "STOP". Indices are 0-based positions into the record's
-    own fact and rule lists.
+    The steps come from each question's first gold proof, ``proofs[0]``,
+    read through ``check_proof``. For every step there is one
+    rule-selection record (which rule to fire given the statement, the
+    facts so far, and all rules), one fact-selection record (which fact
+    indices feed that rule), and one composition record (rule text plus
+    fact texts to conclusion text). Each question additionally contributes
+    one terminal rule-selection record whose output is "STOP"; unknown
+    questions and given-fact proofs contribute only that. Indices are
+    0-based positions into the record's own fact and rule lists.
+
+    Raises GoldProofError for a contradictory theory or for a ``proofs[0]``
+    that fails ``check_proof``.
     """
-    closure = gold_closure(instance.theory)
+    if gold_closure(instance.theory).contradiction:
+        raise GoldProofError(instance, instance.id, "the theory is contradictory")
     rule_texts = [render(r) for r in instance.theory.rules]
     rule_index = {r.id: i for i, r in enumerate(instance.theory.rules)}
     rs: list[dict] = []
     fs: list[dict] = []
     kc: list[dict] = []
     for q in instance.questions:
-        label, steps = gold_proof_steps(instance.theory, q.statement, closure)
+        steps = []
+        if q.annotation.proofs:
+            try:
+                steps = check_proof(
+                    instance.theory, q.statement, q.annotation.label, q.annotation.proofs[0]
+                )
+            except ProofCheckError as e:
+                raise GoldProofError(instance, q.id, str(e)) from None
         facts_so_far = [render(f.atom) for f in instance.theory.facts]
         position = {f.atom: i for i, f in enumerate(instance.theory.facts)}
         for rule_id, premises, conclusion in steps:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .datagen import DEPTH_NA, Instance, Question, RenamingMap
+from .datagen import DEPTH_NA, GoldProofError, Instance, Question, RenamingMap
 from .reasoner import (
     LABEL_TRUE,
     LABEL_UNKNOWN,
@@ -100,12 +100,12 @@ def predict_instance(
             if cached_trace is None:
                 cached_trace = run(instance.theory, q.statement, strategy, budget)
             trace = cached_trace
-        verdict = solve(instance.theory, q.statement, trace)
+        verdict = solve(q.statement, trace)
         preds.append(
             Prediction(
                 q.id,
                 verdict.label,
-                verdict.proof.canonical_form if verdict.proof else None,
+                verdict.proof,
                 tuple(render(a) for a in trace.conclusions()),
                 trace.composer_calls,
                 trace.stop_reason,
@@ -189,24 +189,16 @@ def proof_correct(instance: Instance, question: Question, prediction: Prediction
     return True
 
 
-class GoldProofError(ProofCheckError):
-    """A gold proof of a dataset question that fails ``check_proof``."""
-
-    def __init__(self, instance: Instance, question: Question, message: str):
-        super().__init__(message)
-        self.instance, self.question = instance, question
-
-
 def _gold_conclusion_sets(instance: Instance, question: Question) -> list[set[str]]:
     """One set of conclusion texts per gold proof (final step included)."""
     ann = question.annotation
     sets = []
     for proof in ann.proofs:
         try:
-            atoms = check_proof(instance.theory, question.statement, ann.label, proof)
+            steps = check_proof(instance.theory, question.statement, ann.label, proof)
         except ProofCheckError as e:
-            raise GoldProofError(instance, question, str(e)) from None
-        sets.append({render(a) for a in atoms})
+            raise GoldProofError(instance, question.id, str(e)) from None
+        sets.append({render(conclusion) for _, _, conclusion in steps})
     return sets
 
 
@@ -409,18 +401,6 @@ class MetricsReport:
             "efficiency": self.efficiency,
             "budget_curve": self.budget_curve,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MetricsReport":
-        return cls(
-            obj["strategy"],
-            obj["budget"],
-            list(obj["rows"]),
-            obj.get("consistency"),
-            obj.get("efficiency"),
-            obj.get("budget_curve"),
-            int(obj.get("schema_version", REPORT_SCHEMA_VERSION)),
-        )
 
     def render_text(self) -> str:
         headers = ("depth", "n", "entail", "proof", "prec", "recall", "calls")

@@ -19,14 +19,15 @@ intermediates, each numerically ascending). Intermediates are renumbered
 int1..intK along a canonical topological order that depends only on the
 proof's shape, so equal proofs serialize identically no matter which
 strategy found them. A statement that is itself a given fact has the
-degenerate proof "sentK -> hypothesis".
+degenerate proof "sentK -> hypothesis". ``canonical_proof_string`` is the
+only writer of this form and ``check_proof`` its only reader.
 """
 from __future__ import annotations
 
 import re
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .theory import (
     Atom,
@@ -143,19 +144,12 @@ class InferenceTrace:
 
 
 @dataclass(frozen=True)
-class ProofGraph:
-    """A proof in its canonical serialization. ``proves_negation`` marks
-    proofs that establish the negation of the statement (a "false"
-    verdict)."""
-
-    canonical_form: str
-    proves_negation: bool = False
-
-
-@dataclass(frozen=True)
 class Verdict:
+    """A label plus its canonical proof string, which is None exactly when
+    the label is unknown."""
+
     label: str
-    proof: ProofGraph | None
+    proof: str | None
 
 
 class FactStore:
@@ -280,21 +274,20 @@ def run(
     )
 
 
-def solve(theory: Theory, statement: Statement, trace: InferenceTrace) -> Verdict:
+def solve(statement: Statement, trace: InferenceTrace) -> Verdict:
     """Three-valued verdict for the statement given a finished trace.
 
     A verdict is non-unknown exactly when it carries a proof. If the store
     is contradictory and holds both the statement and its negation, the
     polarity matching the statement wins.
     """
-    store = trace.store
-    target = store.fact_for(statement.atom)
-    if target is not None:
-        return Verdict(LABEL_TRUE, stitch_proof(trace, target))
-    anti_fact = store.fact_for(statement.atom.negated())
-    if anti_fact is not None:
-        proof = stitch_proof(trace, anti_fact)
-        return Verdict(LABEL_FALSE, replace(proof, proves_negation=True))
+    for label, atom in (
+        (LABEL_TRUE, statement.atom),
+        (LABEL_FALSE, statement.atom.negated()),
+    ):
+        fact = trace.store.fact_for(atom)
+        if fact is not None:
+            return Verdict(label, stitch_proof(trace, fact))
     return Verdict(LABEL_UNKNOWN, None)
 
 
@@ -305,17 +298,25 @@ def _id_sort_key(fid: str) -> tuple[int, int]:
     return (0 if m.group(1) == "sent" else 1, int(m.group(2)))
 
 
-def canonical_proof_order(
+def canonical_proof_string(
     target: Atom,
     given_ids: dict[Atom, str],
     derivations: dict[Atom, tuple[str, tuple[Atom, ...]]],
-) -> list[Atom]:
-    """Derived atoms of a proof in its canonical topological order.
+) -> str:
+    """Serialize a proof DAG to the canonical one-line form.
 
-    The order is a function of the DAG alone: each step's derived premises
-    are visited in order of a structural key built from rule ids and leaf
-    sentence ids, which is stable under vocabulary renamings.
+    ``given_ids`` maps leaf atoms to their sentence ids; ``derivations``
+    maps every derived atom in the proof to (rule id, premise atoms).
+    A target present in both maps serializes as the derivation; pass an
+    empty ``derivations`` to get the degenerate given form.
+
+    Steps come in a canonical topological order that is a function of the
+    DAG alone: each step's derived premises are visited in order of a
+    structural key built from rule ids and leaf sentence ids, which is
+    stable under vocabulary renamings.
     """
+    if target not in derivations and target in given_ids:
+        return f"{given_ids[target]} -> hypothesis"
     key_cache: dict[Atom, tuple] = {}
 
     def structural_key(atom: Atom) -> tuple:
@@ -345,45 +346,10 @@ def canonical_proof_order(
         order.append(atom)
 
     visit(target)
-    return order
-
-
-def canonical_proof_steps(
-    target: Atom,
-    given_ids: dict[Atom, str],
-    derivations: dict[Atom, tuple[str, tuple[Atom, ...]]],
-) -> list[tuple[str, tuple[Atom, ...], Atom]]:
-    """(rule id, premise atoms, conclusion atom) triples in canonical order.
-    Empty when the target is used as a given fact (no derivation supplied)."""
-    if target not in derivations:
-        if target in given_ids:
-            return []
-        raise KeyError(f"no derivation for {render(target)!r}")
-    return [
-        (derivations[atom][0], derivations[atom][1], atom)
-        for atom in canonical_proof_order(target, given_ids, derivations)
-    ]
-
-
-def canonical_proof_string(
-    target: Atom,
-    given_ids: dict[Atom, str],
-    derivations: dict[Atom, tuple[str, tuple[Atom, ...]]],
-) -> str:
-    """Serialize a proof DAG to the canonical one-line form.
-
-    ``given_ids`` maps leaf atoms to their sentence ids; ``derivations``
-    maps every derived atom in the proof to (rule id, premise atoms).
-    A target present in both maps serializes as the derivation; pass an
-    empty ``derivations`` to force the degenerate given form.
-    """
-    if target not in derivations and target in given_ids:
-        return f"{given_ids[target]} -> hypothesis"
-    steps = canonical_proof_steps(target, given_ids, derivations)
-    number = {atom: i + 1 for i, (_, _, atom) in enumerate(steps)}
-
+    number = {atom: i + 1 for i, atom in enumerate(order)}
     segments: list[str] = []
-    for rule_id, premises, atom in steps:
+    for atom in order:
+        rule_id, premises = derivations[atom]
         labels = sorted(
             (
                 given_ids[p] if p in given_ids else f"int{number[p]}"
@@ -396,15 +362,12 @@ def canonical_proof_string(
     return " ; ".join(segments)
 
 
-def stitch_proof(trace: InferenceTrace, target: Fact) -> ProofGraph:
-    """Extract the proof of ``target`` from a trace's provenance.
+def stitch_proof(trace: InferenceTrace, target: Fact) -> str:
+    """Extract the canonical proof of ``target`` from a trace's provenance.
 
     Byte-identical across runs for equal traces; more strongly, a pure
     function of the underlying proof DAG.
     """
-    if target.is_given:
-        return ProofGraph(f"{target.id} -> hypothesis")
-
     given_by_id = {f.id: f.atom for f in trace.store.given}
     step_by_id = {s.conclusion.id: s for s in trace.steps}
 
@@ -412,23 +375,17 @@ def stitch_proof(trace: InferenceTrace, target: Fact) -> ProofGraph:
     derivations: dict[Atom, tuple[str, tuple[Atom, ...]]] = {}
 
     def collect(fid: str) -> Atom:
+        if fid in given_by_id:
+            atom = given_by_id[fid]
+            given_ids[atom] = fid
+            return atom
         s = step_by_id[fid]
         atom = s.conclusion.atom
-        if atom in derivations:
-            return atom
-        premises: list[Atom] = []
-        for pid in s.fact_ids:
-            if pid.startswith("sent"):
-                prem = given_by_id[pid]
-                given_ids[prem] = pid
-                premises.append(prem)
-            else:
-                premises.append(collect(pid))
-        derivations[atom] = (s.rule_id, tuple(premises))
+        if atom not in derivations:
+            derivations[atom] = (s.rule_id, tuple(collect(pid) for pid in s.fact_ids))
         return atom
 
-    target_atom = collect(target.id)
-    return ProofGraph(canonical_proof_string(target_atom, given_ids, derivations))
+    return canonical_proof_string(collect(target.id), given_ids, derivations)
 
 
 def check_proof(
@@ -436,13 +393,15 @@ def check_proof(
     statement: Statement,
     label: str,
     canonical_form: str,
-) -> list[Atom]:
+) -> list[tuple[str, list[Atom], Atom]]:
     """Validate a canonical proof string against a theory and statement.
 
-    Returns the conclusion atoms of the proof's steps in serialized order
-    (empty for a degenerate given-fact proof). Raises ProofCheckError for
-    anything malformed or unsound. ``label`` says what the proof claims:
-    "true" (proves the statement) or "false" (proves its negation).
+    This is the one reader of the canonical form. It returns the proof's
+    steps in serialized order as (rule id, premise atoms, conclusion atom),
+    with the premises in the string's canonical fact-id order; a degenerate
+    given-fact proof has no steps. Raises ProofCheckError for anything
+    malformed or unsound. ``label`` says what the proof claims: "true"
+    (proves the statement) or "false" (proves its negation).
     """
     if label == LABEL_TRUE:
         goal = statement.atom
@@ -469,7 +428,7 @@ def check_proof(
     segments = canonical_form.split(" ; ")
     bound: dict[str, Atom] = {}
     used: set[str] = set()
-    conclusions: list[Atom] = []
+    steps: list[tuple[str, list[Atom], Atom]] = []
     for i, seg in enumerate(segments):
         m = step_re.fullmatch(seg)
         if not m:
@@ -510,11 +469,11 @@ def check_proof(
                     f"intermediates must be numbered in order: got {target_id}, want {expected}"
                 )
             bound[target_id] = conclusion
-        conclusions.append(conclusion)
+        steps.append((rule_id, premise_atoms, conclusion))
     dangling = set(bound) - used
     if dangling:
         raise ProofCheckError(f"unused intermediates: {sorted(dangling)}")
-    return conclusions
+    return steps
 
 
 def _match_rule(rule: Rule, premise_atoms: list[Atom]) -> Atom:

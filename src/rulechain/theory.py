@@ -11,8 +11,8 @@ facts
 
 rules
     If <premises> then <conclusion>.
-    All <attr>[, <attr>] people|things are <attr>.
-    <Attr>[, <attr>] people|things are <attr>.
+    All <attr>[, <attr>[, <attr>]] people|things are <attr>.
+    <Attr>[, <attr>[, <attr>]] people|things are <attr>.
 
 where <NP> is a proper name ("Charlie") or "the" plus a common noun
 ("the janitor"). Inside an If-rule the first premise subject may be
@@ -77,7 +77,7 @@ class ParseError(ValueError):
 
 
 class UnknownTokenError(ParseError):
-    """Strict-vocabulary mode met a content word outside the configured pools."""
+    """A content word outside the vocabulary the parser was given."""
 
 
 class TheoryParseError(ValueError):
@@ -398,11 +398,10 @@ class _NoCommit(Exception):
 
 
 class _Parser:
-    def __init__(self, text: str, vocab: Vocabulary | None, strict: bool):
+    def __init__(self, text: str, vocab: Vocabulary | None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vocab = vocab
-        self.strict = strict
         self.end = len(self.tokens) - 1  # index of the final period
 
     # -- cursor helpers ----------------------------------------------------
@@ -430,7 +429,7 @@ class _Parser:
 
     # -- word classes ------------------------------------------------------
     def _check_vocab(self, tok: _Token, kind: str) -> None:
-        if not (self.strict and self.vocab):
+        if self.vocab is None:
             return
         pools = {
             "attribute": self.vocab.attributes,
@@ -450,10 +449,11 @@ class _Parser:
         return word
 
     def more_attributes(self, attrs: list[str]) -> list[str]:
-        """Extend ``attrs`` by ", <attr>" items; a sort takes at most two."""
+        """Extend ``attrs`` by ", <attr>" items; a sort takes at most three,
+        one per rule premise."""
         while self.peek() and self.peek().text == ",":
-            if len(attrs) == 2:
-                raise ParseError("at most two attributes before the sort", self.peek().offset)
+            if len(attrs) == 3:
+                raise ParseError("at most three attributes before the sort", self.peek().offset)
             self.next()
             attrs.append(self.attribute())
         return attrs
@@ -671,20 +671,20 @@ def parse_sentence(
     position: int = 1,
     *,
     vocab: Vocabulary | None = None,
-    strict: bool = False,
 ) -> Fact | Rule:
     """Parse one sentence into a Fact or Rule with id ``sent<position>``.
 
     Raises ParseError (with a character offset) for anything outside the
-    fragment, and UnknownTokenError in strict mode for out-of-pool words.
+    fragment. Given a ``vocab``, names, nouns and attributes must come from
+    its pools, or UnknownTokenError is raised.
     """
-    head = _Parser(text, vocab, strict).tokens[0].text
+    head = _Parser(text, vocab).tokens[0].text
     if head == "If":
-        return _Parser(text, vocab, strict).parse_if_rule(position)
+        return _Parser(text, vocab).parse_if_rule(position)
     if head == "All":
-        return _Parser(text, vocab, strict).parse_all_rule(position)
+        return _Parser(text, vocab).parse_all_rule(position)
     for attempt in ("fact", "bare"):
-        p = _Parser(text, vocab, strict)
+        p = _Parser(text, vocab)
         try:
             if attempt == "fact":
                 return p.parse_fact(position)
@@ -695,9 +695,9 @@ def parse_sentence(
 
 
 def parse_statement(
-    text: str, *, vocab: Vocabulary | None = None, strict: bool = False
+    text: str, *, vocab: Vocabulary | None = None
 ) -> Statement:
-    item = parse_sentence(text, vocab=vocab, strict=strict)
+    item = parse_sentence(text, vocab=vocab)
     if not isinstance(item, Fact):
         raise ParseError("a statement must be a fact-shaped sentence", 0)
     return Statement(item.atom)
@@ -708,7 +708,6 @@ def parse_theory(
     theory_id: str = "theory",
     *,
     vocab: Vocabulary | None = None,
-    strict: bool = False,
 ) -> Theory:
     """Parse sentences (one per line) into a Theory. Blank lines are skipped.
 
@@ -725,7 +724,7 @@ def parse_theory(
             continue
         position += 1
         try:
-            item = parse_sentence(line, position, vocab=vocab, strict=strict)
+            item = parse_sentence(line, position, vocab=vocab)
         except ParseError as e:
             errors.append((lineno, e))
             continue
@@ -736,8 +735,3 @@ def parse_theory(
     if errors:
         raise TheoryParseError(errors)
     return Theory(theory_id, facts, rules)
-
-
-def theory_text(theory: Theory) -> str:
-    """The theory as plain text, one sentence per line, in source order."""
-    return "\n".join(text for _, text in theory.sentences())

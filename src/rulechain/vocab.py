@@ -61,9 +61,6 @@ REPLACEMENT_PERSON_NOUNS: tuple[str, ...] = (
 REPLACEMENT_ANIMAL_NOUNS: tuple[str, ...] = (
     "alligator", "cricket", "bird", "wolf", "giraffe", "dinosaur",
 )
-REPLACEMENT_COMMON_NOUNS: tuple[str, ...] = (
-    REPLACEMENT_PERSON_NOUNS + REPLACEMENT_ANIMAL_NOUNS
-)
 REPLACEMENT_ATTRIBUTES: tuple[str, ...] = (
     "maroon", "brown", "black", "orange", "cordial", "friendly",
     "adorable", "old", "soft", "violent", "intelligent", "square",
@@ -83,20 +80,9 @@ def is_person_noun(noun: str) -> bool:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token sets for strict-mode parsing."""
+    """Token pools that a parse may be restricted to."""
 
     proper_names: frozenset[str]
     common_nouns: frozenset[str]
     attributes: frozenset[str]
 
-
-def default_vocabulary() -> Vocabulary:
-    """Union of the generation and replacement pools."""
-    return Vocabulary(
-        proper_names=frozenset(GEN_PROPER_NAMES) | frozenset(REPLACEMENT_PROPER_NAMES),
-        common_nouns=(
-            frozenset(GEN_PERSON_NOUNS) | frozenset(GEN_ANIMAL_NOUNS)
-            | frozenset(REPLACEMENT_COMMON_NOUNS)
-        ),
-        attributes=frozenset(GEN_ATTRIBUTES) | frozenset(REPLACEMENT_ATTRIBUTES),
-    )

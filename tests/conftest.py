@@ -27,6 +27,25 @@ DIAMOND_LINES = [
 ]
 
 
+def diamond_ladder_lines(layers=7):
+    """Bob is a0; a_i -> b_i, a_i -> c_i, b_i -> a_i+1, c_i -> a_i+1.
+
+    2**layers equal-depth proofs of the last a, more than the gold cap of
+    64 once layers reach 7. The rule order (a->b, a->c, c->a, b->a) makes
+    both strategies find a sound proof that the capped list leaves out.
+    """
+    def attr(kind, i):
+        return f"{kind}{'abcdefgh'[i]}x"
+
+    rule = "If someone is {} then they are {}."
+    lines = [f"Bob is {attr('a', 0)}."]
+    lines += [rule.format(attr("a", i), attr("b", i)) for i in range(layers)]
+    lines += [rule.format(attr("a", i), attr("c", i)) for i in range(layers)]
+    lines += [rule.format(attr("c", i), attr("a", i + 1)) for i in range(layers)]
+    lines += [rule.format(attr("b", i), attr("a", i + 1)) for i in range(layers)]
+    return lines, f"Bob is {attr('a', layers)}."
+
+
 @pytest.fixture
 def chain2():
     return parse_theory(CHAIN2_LINES)

@@ -422,6 +422,19 @@ class TestBench:
 MALFORMED_ROWS = {
     "missing_sentences": ('{"id":"x","questions":[]}', " (id 'x')", "'sentences'"),
     "not_an_object": ("[1,2]", "", "JSON object"),
+    "true_without_proofs": (
+        '{"id":"x","sentences":{"sent1":"Bob is blue."},"questions":[{"id":"x-q1",'
+        '"text":"Bob is blue.","label":"true","depth":0,"proofs":[]}]}',
+        " (id 'x')",
+        "true questions carry at least one proof",
+    ),
+    "unknown_with_proofs": (
+        '{"id":"x","sentences":{"sent1":"Bob is blue."},"questions":[{"id":"x-q1",'
+        '"text":"Bob is red.","label":"unknown","depth":"N/A",'
+        '"proofs":["sent1 -> hypothesis"]}]}',
+        " (id 'x')",
+        "unknown questions carry no proofs",
+    ),
 }
 
 
@@ -475,6 +488,39 @@ class TestMalformedRows:
         assert code == 1
         assert err.startswith(f"error: {bad}:3 (id {question['id']!r}): ")
         assert "Traceback" not in err
+
+    def test_emit_training_locates_a_corrupt_first_proof(self, dataset, tmp_path, capsys):
+        row = json.loads(dataset.read_text(encoding="utf-8").splitlines()[1])
+        question = next(q for q in row["questions"] if q["label"] != "unknown")
+        question["proofs"][0] = "(sent1 & sent2) -> hypothesis"
+        bad = with_bad_row(dataset, tmp_path, json.dumps(row))
+        code, _, err = run_cli(
+            capsys, "emit-training", "--data", str(bad), "--out-dir", str(tmp_path / "out")
+        )
+        assert code == 1
+        assert err.startswith(f"error: {bad}:3 (id {question['id']!r}): ")
+        assert "Traceback" not in err
+
+    def test_emit_training_locates_a_contradictory_row(self, dataset, tmp_path, capsys):
+        row = {
+            "id": "c1",
+            "sentences": {
+                "sent1": "Bob is blue.",
+                "sent2": "Bob is not kind.",
+                "sent3": "If someone is blue then they are kind.",
+            },
+            "questions": [
+                {"id": "c1-q1", "text": "Bob is blue.", "label": "true", "depth": 0,
+                 "proofs": ["sent1 -> hypothesis"]},
+            ],
+        }
+        bad = with_bad_row(dataset, tmp_path, json.dumps(row))
+        code, _, err = run_cli(
+            capsys, "emit-training", "--data", str(bad), "--out-dir", str(tmp_path / "out")
+        )
+        assert code == 1
+        assert err.startswith(f"error: {bad}:3 (id 'c1'): ")
+        assert "contradictory" in err
 
 
 class TestJobs:

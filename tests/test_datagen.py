@@ -1,6 +1,7 @@
 """Closure oracle, gold annotation, the generator, perturbation, training."""
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,9 @@ from rulechain.datagen import (
     ContradictionError,
     GenConfig,
     GenerationError,
+    Instance,
     PoolExhaustedError,
+    Question,
     RenamingMap,
     apply_renaming,
     assign_gold,
@@ -23,24 +26,26 @@ from rulechain.datagen import (
     generate_dataset,
     generate_instance,
     gold_closure,
-    gold_proof_steps,
     instance_from_json,
     instance_to_json,
     irrelevant_sentences,
     perturb,
     seed_substream,
 )
-from rulechain.reasoner import check_proof, run, solve
+from rulechain.reasoner import Binding, check_proof, compose, run, solve, substitute
 from rulechain.strategies import make_strategy
 from rulechain.theory import (
     Atom,
     Entity,
     IsAttr,
     PROPER,
+    QUANT_NONE,
     parse_statement,
     parse_theory,
     render,
 )
+
+from conftest import diamond_ladder_lines
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +185,8 @@ def test_every_gold_proof_passes_the_checker(diamond):
     statement = parse_statement("Bob is smart.")
     ann = assign_gold(diamond, statement)
     for proof in ann.proofs:
-        conclusions = check_proof(diamond, statement, ann.label, proof)
-        assert render(conclusions[-1]) == "Bob is smart."
-
-
-def test_gold_proof_steps_match_first_proof(chain2):
-    label, steps = gold_proof_steps(chain2, parse_statement("Bob is smart."))
-    assert label == "true"
-    assert [(rule_id, render(conclusion)) for rule_id, _, conclusion in steps] == [
-        ("sent2", "Bob is quiet."),
-        ("sent3", "Bob is smart."),
-    ]
-    label, steps = gold_proof_steps(chain2, parse_statement("Bob is blue."))
-    assert (label, steps) == ("true", [])
-    label, steps = gold_proof_steps(chain2, parse_statement("Bob is green."))
-    assert (label, steps) == ("unknown", [])
+        *_, (_, _, conclusion) = check_proof(diamond, statement, ann.label, proof)
+        assert render(conclusion) == "Bob is smart."
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +205,7 @@ def test_generated_instances_verify_against_engine_and_oracle():
             assert again == q.annotation
             strategy = make_strategy("goal", inst.theory, q.statement)
             verdict = solve(
-                inst.theory, q.statement, run(inst.theory, q.statement, strategy)
+                q.statement, run(inst.theory, q.statement, strategy)
             )
             assert verdict.label == q.annotation.label
 
@@ -379,7 +371,7 @@ def test_perturb_renames_every_occurrence_injectively():
     inst = fixed_instance()
     eqset = perturb(inst, "both", random.Random(3), n=5)
     for variant, renaming in eqset.variants:
-        inverse = renaming.inverse()
+        inverse = {new: old for old, new in renaming.mapping.items()}
         assert len(inverse) == len(renaming.mapping)
         variant_text = " ".join(text for _, text in variant.theory.sentences())
         for old in renaming.mapping:
@@ -413,7 +405,8 @@ def test_inverse_renaming_restores_the_base():
     inst = fixed_instance()
     eqset = perturb(inst, "both", random.Random(11), n=2)
     for variant, renaming in eqset.variants:
-        restored = apply_renaming(variant, RenamingMap(renaming.mode, renaming.inverse()), inst.id)
+        inverse = {new: old for old, new in renaming.mapping.items()}
+        restored = apply_renaming(variant, RenamingMap(renaming.mode, inverse), inst.id)
         assert instance_to_json(restored) == instance_to_json(inst)
 
 
@@ -526,6 +519,86 @@ def test_conjunctive_step_selects_two_facts(conj):
     assert fs["output"] == [1, 2]  # positions of the two premises, sorted
 
 
+def test_given_and_unknown_questions_emit_only_a_stop_record(chain2):
+    questions = []
+    for k, text in enumerate(("Bob is blue.", "Bob is green."), start=1):
+        statement = parse_statement(text)
+        questions.append(Question(f"t9-q{k}", statement, text, assign_gold(chain2, statement)))
+    assert [q.annotation.label for q in questions] == ["true", "unknown"]
+    records = emit_training_records(Instance("t9", chain2, questions))
+    assert records["fs"] == records["kc"] == []
+    assert [(r["question_id"], r["output"]) for r in records["rs"]] == [
+        ("t9-q1", "STOP"),
+        ("t9-q2", "STOP"),
+    ]
+
+
+def replayed_proof(theory, question, records):
+    """The canonical proof string that one question's rs/fs/kc records
+    spell out, rebuilt from the records and the theory's sentence ids
+    alone: the rule is ``rules[rs.output]``, the premises are the
+    ``fs.output`` indices into ``facts``, and ``kc.output`` must be what
+    composing that rule with those facts yields. None for no proof."""
+    *rs, stop = [r for r in records["rs"] if r["question_id"] == question.id]
+    fs = [r for r in records["fs"] if r["question_id"] == question.id]
+    kc = [r for r in records["kc"] if r["question_id"] == question.id]
+    assert stop["output"] == "STOP"
+    assert len(rs) == len(fs) == len(kc)
+    given = len(theory.facts)
+
+    def fact_id(index):
+        return theory.facts[index].id if index < given else f"int{index - given + 1}"
+
+    if not rs:
+        if question.annotation.label == "unknown":
+            return None
+        target = question.statement.atom
+        if question.annotation.label == "false":
+            target = target.negated()
+        return f"{fact_id(stop['facts'].index(render(target)))} -> hypothesis"
+    segments = []
+    for k, (r, f, c) in enumerate(zip(rs, fs, kc)):
+        assert r["facts"] == f["facts"] == stop["facts"][: given + k]
+        rule_text = r["rules"][r["output"]]
+        assert rule_text == f["rule"] == c["rule"]
+        rule = theory.rules[r["output"]]
+        assert render(rule) == rule_text
+        assert c["facts"] == [r["facts"][i] for i in f["output"]]
+        premises = Counter(parse_statement(r["facts"][i]).atom for i in f["output"])
+        entities = [None] if rule.quantifier == QUANT_NONE else {a.subject for a in premises}
+        (entity,) = [
+            e for e in entities
+            if Counter(substitute(p, e) for p in rule.premises) == premises
+        ]
+        fact_ids = tuple(fact_id(i) for i in f["output"])
+        assert c["output"] == render(compose(rule, Binding(entity, fact_ids)))
+        assert stop["facts"][given + k] == c["output"]
+        target = "hypothesis" if k == len(rs) - 1 else f"int{k + 1}"
+        segments.append(f"({rule.id} & {' '.join(fact_ids)}) -> {target}")
+    return " ; ".join(segments)
+
+
+def test_training_records_replay_to_the_first_gold_proof():
+    """The supervision for the rule selector, the fact selector and the
+    knowledge composer is faithful: replayed step by step, each question's
+    records give back its ``proofs[0]``, also when the gold set is capped."""
+    lines, text = diamond_ladder_lines()
+    ladder = parse_theory(lines, "ladder")
+    statement = parse_statement(text)
+    annotation = assign_gold(ladder, statement)
+    assert annotation.proofs_truncated
+    instances = generate_dataset(GenConfig(target_depths=(0, 1, 2, 3, 4, 5), theories=12, seed=29))
+    instances.append(Instance("ladder", ladder, [Question("ladder-q1", statement, text, annotation)]))
+    replayed = 0
+    for inst in instances:
+        records = emit_training_records(inst)
+        for q in inst.questions:
+            gold = q.annotation.proofs[0] if q.annotation.proofs else None
+            assert replayed_proof(inst.theory, q, records) == gold
+            replayed += gold is not None and "&" in gold
+    assert replayed > 40
+
+
 def test_training_counts_follow_gold_steps():
     cfg = GenConfig(target_depths=(0, 1, 2), theories=4, seed=23)
     insts = generate_dataset(cfg)
@@ -555,12 +628,12 @@ def test_generated_questions_score_perfectly_under_both_strategies(seed):
             for name in ("exhaustive", "goal"):
                 strategy = make_strategy(name, inst.theory, q.statement)
                 trace = run(inst.theory, q.statement, strategy)
-                verdict = solve(inst.theory, q.statement, trace)
+                verdict = solve(q.statement, trace)
                 assert verdict.label == q.annotation.label
                 if verdict.proof is None:
                     assert q.annotation.label == "unknown"
                 else:
-                    assert verdict.proof.canonical_form in q.annotation.proofs
+                    assert verdict.proof in q.annotation.proofs
 
 
 @settings(max_examples=10, deadline=None)
@@ -573,13 +646,8 @@ def test_perturbation_preserves_engine_behaviour(seed, mode):
         for vq, bq in zip(variant.questions, inst.questions):
             strategy = make_strategy("goal", variant.theory, vq.statement)
             trace = run(variant.theory, vq.statement, strategy)
-            verdict = solve(variant.theory, vq.statement, trace)
+            verdict = solve(vq.statement, trace)
             assert verdict.label == bq.annotation.label
-            proof = verdict.proof.canonical_form if verdict.proof else None
             base_strategy = make_strategy("goal", inst.theory, bq.statement)
             base_trace = run(inst.theory, bq.statement, base_strategy)
-            base_verdict = solve(inst.theory, bq.statement, base_trace)
-            base_proof = (
-                base_verdict.proof.canonical_form if base_verdict.proof else None
-            )
-            assert proof == base_proof
+            assert verdict.proof == solve(bq.statement, base_trace).proof

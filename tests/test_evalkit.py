@@ -14,7 +14,7 @@ from rulechain import datagen as dg
 from rulechain import evalkit as ek
 from rulechain.theory import parse_statement, parse_theory
 
-from conftest import CHAIN2_LINES
+from conftest import CHAIN2_LINES, diamond_ladder_lines
 
 # chain2 plus an off-path rule; exhaustive derives one useless conclusion.
 SPUR_LINES = CHAIN2_LINES + ["If someone is blue then they are furry."]
@@ -120,25 +120,6 @@ class TestProofCorrect:
         assert not ek.proof_correct(
             self.inst, self.q_unknown, pred(label="unknown", proof="sent1 -> hypothesis")
         )
-
-
-def diamond_ladder_lines(layers=7):
-    """Bob is a0; a_i -> b_i, a_i -> c_i, b_i -> a_i+1, c_i -> a_i+1.
-
-    2**layers equal-depth proofs of the last a, more than the gold cap of
-    64 once layers reach 7. The rule order (a->b, a->c, c->a, b->a) makes
-    both strategies find a sound proof that the capped list leaves out.
-    """
-    def attr(kind, i):
-        return f"{kind}{'abcdefgh'[i]}x"
-
-    rule = "If someone is {} then they are {}."
-    lines = [f"Bob is {attr('a', 0)}."]
-    lines += [rule.format(attr("a", i), attr("b", i)) for i in range(layers)]
-    lines += [rule.format(attr("a", i), attr("c", i)) for i in range(layers)]
-    lines += [rule.format(attr("c", i), attr("a", i + 1)) for i in range(layers)]
-    lines += [rule.format(attr("b", i), attr("a", i + 1)) for i in range(layers)]
-    return lines, f"Bob is {attr('a', layers)}."
 
 
 class TestProofCorrectTruncatedGold:
@@ -382,8 +363,7 @@ class TestReport:
         report.budget_curve = {"1": 0.5, "3": 1.0}
         blob = report.to_json()
         assert blob["schema_version"] == ek.REPORT_SCHEMA_VERSION
-        again = ek.MetricsReport.from_json(blob)
-        assert again == report
+        assert ek.MetricsReport(**blob) == report
 
     def test_render_text_shape(self):
         _, _, report = self.build()

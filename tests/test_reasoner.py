@@ -182,7 +182,7 @@ def test_goal_reached_wins_over_budget_check(chain2):
     statement = parse_statement("Bob is smart.")
     trace = run(chain2, statement, make_strategy("goal", chain2, statement), budget=2)
     assert trace.stop_reason == STOP_GOAL_REACHED
-    assert solve(chain2, statement, trace).label == LABEL_TRUE
+    assert solve(statement, trace).label == LABEL_TRUE
 
 
 def test_negative_budget_rejected(chain2):
@@ -217,53 +217,50 @@ def test_trace_json_shape(chain2):
 
 def test_true_verdict_with_two_step_proof(chain2):
     statement, trace = run_exhaustive(chain2, "Bob is smart.")
-    verdict = solve(chain2, statement, trace)
+    verdict = solve(statement, trace)
     assert verdict.label == LABEL_TRUE
-    assert verdict.proof.canonical_form == CHAIN2_PROOF
-    assert not verdict.proof.proves_negation
+    assert verdict.proof == CHAIN2_PROOF
 
 
 def test_false_verdict_proves_the_negation(chain2):
     statement, trace = run_exhaustive(chain2, "Bob is not smart.")
-    verdict = solve(chain2, statement, trace)
+    verdict = solve(statement, trace)
     assert verdict.label == LABEL_FALSE
-    assert verdict.proof.canonical_form == CHAIN2_PROOF
-    assert verdict.proof.proves_negation
+    assert verdict.proof == CHAIN2_PROOF
 
 
 def test_unknown_verdict_has_no_proof(chain2):
     statement, trace = run_exhaustive(chain2, "Bob is green.")
-    verdict = solve(chain2, statement, trace)
+    verdict = solve(statement, trace)
     assert verdict.label == LABEL_UNKNOWN
     assert verdict.proof is None
 
 
 def test_depth0_proof_is_a_single_node(conj):
     statement, trace = run_exhaustive(conj, "Dave is round.")
-    verdict = solve(conj, statement, trace)
+    verdict = solve(statement, trace)
     assert verdict.label == LABEL_TRUE
-    assert verdict.proof.canonical_form == "sent4 -> hypothesis"
+    assert verdict.proof == "sent4 -> hypothesis"
 
 
 def test_false_depth0_when_negation_is_given():
     theory = parse_theory(["Bob is not cold."])
     statement, trace = run_exhaustive(theory, "Bob is cold.")
-    verdict = solve(theory, statement, trace)
+    verdict = solve(statement, trace)
     assert verdict.label == LABEL_FALSE
-    assert verdict.proof.canonical_form == "sent1 -> hypothesis"
-    assert verdict.proof.proves_negation
+    assert verdict.proof == "sent1 -> hypothesis"
 
 
 def test_conjunctive_step_sorts_fact_ids(conj):
     statement, trace = run_exhaustive(conj, "Dave is happy.")
-    verdict = solve(conj, statement, trace)
-    assert verdict.proof.canonical_form == CONJ_PROOF
+    verdict = solve(statement, trace)
+    assert verdict.proof == CONJ_PROOF
 
 
 def test_stitch_is_deterministic_across_runs(chain2):
     statement, trace1 = run_exhaustive(chain2, "Bob is smart.")
     _, trace2 = run_exhaustive(chain2, "Bob is smart.")
-    assert solve(chain2, statement, trace1).proof == solve(chain2, statement, trace2).proof
+    assert solve(statement, trace1).proof == solve(statement, trace2).proof
 
 
 def test_stitch_ignores_unrelated_steps():
@@ -277,8 +274,7 @@ def test_stitch_ignores_unrelated_steps():
     )
     statement, trace = run_exhaustive(theory, "Bob is quiet.")
     assert trace.composer_calls == 2  # both rules fire at the fixpoint
-    proof = solve(theory, statement, trace).proof
-    assert proof.canonical_form == "(sent3 & sent1) -> hypothesis"
+    assert solve(statement, trace).proof == "(sent3 & sent1) -> hypothesis"
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +282,22 @@ def test_stitch_ignores_unrelated_steps():
 # ---------------------------------------------------------------------------
 
 def test_check_proof_accepts_engine_output(chain2, conj):
-    conclusions = check_proof(
-        chain2, parse_statement("Bob is smart."), LABEL_TRUE, CHAIN2_PROOF
-    )
-    assert [render(a) for a in conclusions] == ["Bob is quiet.", "Bob is smart."]
+    chain2_steps = [
+        ("sent2", ["Bob is blue."], "Bob is quiet."),
+        ("sent3", ["Bob is quiet."], "Bob is smart."),
+    ]
+    for text, label in (("Bob is smart.", LABEL_TRUE), ("Bob is not smart.", LABEL_FALSE)):
+        steps = check_proof(chain2, parse_statement(text), label, CHAIN2_PROOF)
+        assert [
+            (rule_id, [render(p) for p in premises], render(conclusion))
+            for rule_id, premises, conclusion in steps
+        ] == chain2_steps
 
-    conclusions = check_proof(
-        chain2, parse_statement("Bob is not smart."), LABEL_FALSE, CHAIN2_PROOF
+    ((rule_id, premises, conclusion),) = check_proof(
+        conj, parse_statement("Dave is happy."), LABEL_TRUE, CONJ_PROOF
     )
-    assert [render(a) for a in conclusions] == ["Bob is quiet.", "Bob is smart."]
+    assert (rule_id, render(conclusion)) == ("sent2", "Dave is happy.")
+    assert [render(p) for p in premises] == ["Dave is white.", "Dave is round."]
 
     assert check_proof(
         conj, parse_statement("Dave is round."), LABEL_TRUE, "sent4 -> hypothesis"

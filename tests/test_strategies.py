@@ -170,14 +170,14 @@ def test_goal_strategy_stops_when_cone_is_exhausted():
     trace = run(theory, statement, GoalDirectedStrategy(theory, statement))
     assert trace.composer_calls == 0
     assert trace.stop_reason == STOP_STRATEGY
-    assert solve(theory, statement, trace).label == "unknown"
+    assert solve(statement, trace).label == "unknown"
 
 
 def test_goal_strategy_derives_negation_for_false(chain2):
     statement = parse_statement("Bob is not smart.")
     trace = run(chain2, statement, GoalDirectedStrategy(chain2, statement))
     assert trace.stop_reason == "goal_reached"
-    assert solve(chain2, statement, trace).label == "false"
+    assert solve(statement, trace).label == "false"
 
 
 def test_make_strategy_names():
@@ -257,12 +257,10 @@ def test_shuffled_selection_changes_order_not_verdicts(seed, shuffle_seed):
                 relevance_cone(inst.theory, q.statement),
             )
             plain = solve(
-                inst.theory,
                 q.statement,
                 run(inst.theory, q.statement, ExhaustiveStrategy()),
             )
             shuffled = solve(
-                inst.theory,
                 q.statement,
                 run(
                     inst.theory,
@@ -273,7 +271,6 @@ def test_shuffled_selection_changes_order_not_verdicts(seed, shuffle_seed):
             assert plain.label == shuffled.label
             assert (plain.proof is None) == (shuffled.proof is None)
             goal_shuffled = solve(
-                inst.theory,
                 q.statement,
                 run(
                     inst.theory,
@@ -294,7 +291,7 @@ def test_both_strategies_agree_with_gold(seed):
             for name in STRATEGY_NAMES:
                 strategy = make_strategy(name, inst.theory, q.statement)
                 verdict = solve(
-                    inst.theory, q.statement, run(inst.theory, q.statement, strategy)
+                    q.statement, run(inst.theory, q.statement, strategy)
                 )
                 assert verdict.label in LABELS
                 assert verdict.label == q.annotation.label, (
@@ -369,8 +366,8 @@ def if_rules(draw):
 
 @st.composite
 def sort_rules(draw):
-    """All and bare rules; the parser takes at most two attributes."""
-    attrs = ", ".join(draw(st.lists(st.sampled_from(ATTRS), min_size=1, max_size=2)))
+    """All and bare rules, of one to three attributes."""
+    attrs = ", ".join(draw(st.lists(st.sampled_from(ATTRS), min_size=1, max_size=3)))
     tail = f"{draw(st.sampled_from(('people', 'things')))} are {draw(st.sampled_from(ATTRS))}."
     if draw(st.booleans()):
         return f"All {attrs} {tail}"

@@ -24,7 +24,6 @@ from rulechain.theory import (
     parse_statement,
     parse_theory,
     render,
-    theory_text,
 )
 
 
@@ -146,6 +145,23 @@ def test_merged_and_clause_continuations_differ():
     assert roundtrip(render(spelled)) == render(spelled)
 
 
+def test_sort_rules_take_one_to_three_attributes():
+    premises = tuple(Atom(X, IsAttr(a), True) for a in ("red", "big", "kind"))
+    for form, quantifier, text in (
+        ("all", "things", "All red, big, kind things are blue."),
+        ("bare", "people", "Red, big, kind people are blue."),
+    ):
+        rule = Rule(
+            "sent1", premises, Atom(X, IsAttr("blue"), True), quantifier,
+            RuleStyle(form, (False, False, False)),
+        )
+        assert render(rule) == text
+        assert parse_sentence(text) == rule
+    for text in ("All red, big, kind, nice things are blue.", "Red, big, kind, nice people are blue."):
+        with pytest.raises(ParseError, match="at most three attributes"):
+            parse_sentence(text)
+
+
 def test_three_premise_rule():
     text = "If someone is big and strong and they like the cat then they are proud."
     rule = parse_sentence(text)
@@ -183,11 +199,16 @@ def test_pronoun_must_agree_with_quantifier():
 
 
 def test_strict_vocab_flags_unknown_words():
-    voc = vocab.default_vocabulary()
+    voc = vocab.Vocabulary(
+        proper_names=frozenset(vocab.GEN_PROPER_NAMES),
+        common_nouns=frozenset(vocab.GEN_PERSON_NOUNS + vocab.GEN_ANIMAL_NOUNS),
+        attributes=frozenset(vocab.GEN_ATTRIBUTES),
+    )
+    assert parse_sentence("Bob is blue.", vocab=voc).atom.pred == IsAttr("blue")
     with pytest.raises(UnknownTokenError) as err:
-        parse_sentence("Bob is zorp.", vocab=voc, strict=True)
+        parse_sentence("Bob is zorp.", vocab=voc)
     assert err.value.offset == 7
-    # Without strict mode the same sentence parses.
+    # Without a vocabulary the same sentence parses.
     assert parse_sentence("Bob is zorp.").atom.pred == IsAttr("zorp")
 
 
@@ -207,7 +228,7 @@ def test_theory_parse_collects_all_errors():
 def test_theory_ids_number_kept_lines():
     theory = parse_theory(["Bob is blue.", "", "Anne is kind."])
     assert [sid for sid, _ in theory.sentences()] == ["sent1", "sent2"]
-    assert theory_text(theory) == "Bob is blue.\nAnne is kind."
+    assert [text for _, text in theory.sentences()] == ["Bob is blue.", "Anne is kind."]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +358,7 @@ def rules(draw):
         isinstance(p.pred, IsAttr) and p.positive for p in premises
     ) and conclusion.positive
     forms = ["if"]
-    if quantifier and attr_only and n <= 2:
+    if quantifier and attr_only:
         forms += ["all", "bare"]
     form = draw(st.sampled_from(forms))
     if form == "if":
