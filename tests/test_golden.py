@@ -1,13 +1,14 @@
 """Engine outputs pinned byte for byte.
 
 ``tests/golden/`` holds, for both strategies, the predictions and report
-that ``rulechain eval`` writes and every ``InferenceTrace.to_json()`` on
-three inputs: a fixed-seed ``rulechain gen`` corpus at depths 0..5, one
-theory of 8 entities with 4 parallel depth-4 chains, and one theory of
-two stacked 10-way diamonds (100 equal-depth proofs, capped at 64). The
-diamond theory, where selection has real choice, is also run with a
-shuffle seed. Any change in what the engine
-selects, in proof stitching or in scoring shows here as a diff.
+that ``rulechain eval`` writes, the curve that ``rulechain bench`` writes
+and every ``InferenceTrace.to_json()`` on three inputs: a fixed-seed
+``rulechain gen`` corpus at depths 0..5, one theory of 8 entities with 4
+parallel depth-4 chains, and one theory of two stacked 10-way diamonds
+(100 equal-depth proofs, capped at 64). The diamond theory, where
+selection has real choice, is also run with a shuffle seed. Any change in
+what the engine selects, in proof stitching or in scoring shows here as a
+diff.
 
 After a change that is meant to alter these outputs, rewrite the files
 with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -39,6 +40,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CORPUS_ARGV = ["--theories", "6", "--depths", "0..5", "--seed", "2022"]
 SHUFFLE_SEED = 7
+# zero, a repeat, the exact length of some traces, and more than any trace
+BUDGETS = "0,1,2,3,3,5,7,12,200"
 INPUTS = ("corpus", "chain", "diamond")
 
 NAMES = ("Anne", "Bob", "Dave", "Erin", "Gary", "Max", "Nina", "Tina")
@@ -107,8 +110,8 @@ def _stem(name: str, strategy: str, shuffle_seed: int | None) -> str:
 def _kinds(shuffle_seed: int | None) -> tuple[str, ...]:
     # a shuffled run scores like the plain one; its order is what differs
     if shuffle_seed is None:
-        return ("predictions.jsonl", "report.json", "traces.jsonl")
-    return ("predictions.jsonl", "traces.jsonl")
+        return ("curve.json", "predictions.jsonl", "report.json", "traces.jsonl")
+    return ("curve.json", "predictions.jsonl", "traces.jsonl")
 
 
 GOLDEN_NAMES = sorted(f"{_stem(*r)}.{kind}" for r in RUNS for kind in _kinds(r[2]))
@@ -153,13 +156,14 @@ def golden_outputs(workdir: Path) -> dict[str, str]:
     out: dict[str, str] = {}
     for name, strategy, shuffle_seed in RUNS:
         stem = _stem(name, strategy, shuffle_seed)
-        argv = ["eval", "--data", str(data[name]), "--strategy", strategy,
+        shuffle = [] if shuffle_seed is None else ["--shuffle-seed", str(shuffle_seed)]
+        argv = ["eval", "--data", str(data[name]), "--strategy", strategy, *shuffle,
                 "--predictions-out", str(workdir / f"{stem}.predictions.jsonl")]
         if shuffle_seed is None:
             argv += ["--report", str(workdir / f"{stem}.report.json")]
-        else:
-            argv += ["--shuffle-seed", str(shuffle_seed)]
         assert main(argv) == 0
+        assert main(["bench", "--data", str(data[name]), "--strategy", strategy, *shuffle,
+                     "--budgets", BUDGETS, "--out", str(workdir / f"{stem}.curve.json")]) == 0
         write_jsonl(
             workdir / f"{stem}.traces.jsonl", trace_rows(data[name], strategy, shuffle_seed)
         )
