@@ -6,6 +6,23 @@ None for unknown), the conclusions the engine generated along the way, and
 the composition-call count. The trace of the all-inferences strategy does
 not depend on the question, so it is computed once per theory and shared.
 
+Several budgets cost one run per question. ``run`` uses the budget only as
+a stop test, selection never sees it, and shuffle mode draws from its
+generator once per select, so a budget-b run takes exactly the first
+min(b, n) steps of a run at a larger budget that took n steps. Each
+question therefore runs once, at the largest budget, and budget b reads:
+
+* label: the statement's fact if it is given or derived at a step <= b,
+  else its negation's by the same test, else unknown;
+* proof: the canonical proof of that fact, stitched once for all budgets;
+* generated: the first b conclusions;
+* composer calls: min(b, n);
+* stop reason: the trace's own when n < b; at n == b, "goal_reached" if
+  the trace reached the goal and "budget_exhausted" otherwise; when n > b,
+  "budget_exhausted".
+
+Every prediction is field for field that of a separate budget-b run.
+
 Metrics:
 
 * entailment accuracy: predicted label equals gold label.
@@ -28,11 +45,15 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .datagen import DEPTH_NA, GoldProofError, Instance, Question, RenamingMap
 from .reasoner import (
     LABEL_TRUE,
     LABEL_UNKNOWN,
+    STOP_BUDGET_EXHAUSTED,
+    STOP_GOAL_REACHED,
+    InferenceTrace,
     ProofCheckError,
     check_proof,
     run,
@@ -82,6 +103,68 @@ def prediction_from_json(obj: dict) -> Prediction:
     )
 
 
+def _predict_budgets(
+    instance: Instance,
+    strategy_name: str,
+    budgets: tuple[int | None, ...],
+    shuffle_seed: int | None = None,
+) -> list[list[Prediction]]:
+    """For each budget in order, the predictions for every question of one
+    instance, read off one run per question at the largest budget (see the
+    module docstring)."""
+    top = None if None in budgets else max(budgets)
+    per_budget: list[list[Prediction]] = [[] for _ in budgets]
+    cached_trace = None
+    for q in instance.questions:
+        strategy = make_strategy(strategy_name, instance.theory, q.statement, shuffle_seed)
+        if strategy.goal_directed:
+            trace = run(instance.theory, q.statement, strategy, top)
+        else:
+            # Exhaustive traces ignore the question, so one run serves all.
+            if cached_trace is None:
+                cached_trace = run(instance.theory, q.statement, strategy, top)
+            trace = cached_trace
+        for preds, prediction in zip(per_budget, _read_budgets(q, trace, budgets)):
+            preds.append(prediction)
+    return per_budget
+
+
+def _read_budgets(
+    question: Question, trace: InferenceTrace, budgets: tuple[int | None, ...]
+) -> list[Prediction]:
+    """What a run stopped at each budget predicts, read off ``trace``, a
+    run at a budget no smaller than any of them."""
+    statement = question.statement
+    steps = len(trace.steps)
+    generated = tuple(render(s.conclusion.atom) for s in trace.steps)
+    # The verdict changes only at the steps that derive the statement or its
+    # negation, so each distinct verdict is solved (and its proof stitched)
+    # once for all budgets.
+    arrivals = [
+        fact.derived_step or 0
+        for fact in map(trace.store.fact_for, (statement.atom, statement.atom.negated()))
+        if fact is not None
+    ]
+    verdicts = {}
+    out = []
+    for budget in budgets:
+        n = steps if budget is None else min(budget, steps)
+        key = tuple(at <= n for at in arrivals)
+        if key not in verdicts:
+            verdicts[key] = solve(statement, trace, n)
+        verdict = verdicts[key]
+        if budget is None or steps < budget:
+            reason = trace.stop_reason
+        elif steps == budget and trace.stop_reason == STOP_GOAL_REACHED:
+            reason = STOP_GOAL_REACHED
+        else:
+            reason = STOP_BUDGET_EXHAUSTED
+        out.append(
+            Prediction(question.id, verdict.label, verdict.proof, generated[:n], n, reason)
+        )
+    return out
+
+
 def predict_instance(
     instance: Instance,
     strategy_name: str,
@@ -89,34 +172,25 @@ def predict_instance(
     shuffle_seed: int | None = None,
 ) -> list[Prediction]:
     """Predictions for every question of one instance, in question order."""
-    preds: list[Prediction] = []
-    cached_trace = None
-    for q in instance.questions:
-        strategy = make_strategy(strategy_name, instance.theory, q.statement, shuffle_seed)
-        if strategy.goal_directed:
-            trace = run(instance.theory, q.statement, strategy, budget)
-        else:
-            # Exhaustive traces ignore the question, so one run serves all.
-            if cached_trace is None:
-                cached_trace = run(instance.theory, q.statement, strategy, budget)
-            trace = cached_trace
-        verdict = solve(q.statement, trace)
-        preds.append(
-            Prediction(
-                q.id,
-                verdict.label,
-                verdict.proof,
-                tuple(render(a) for a in trace.conclusions()),
-                trace.composer_calls,
-                trace.stop_reason,
-            )
-        )
-    return preds
+    return _predict_budgets(instance, strategy_name, (budget,), shuffle_seed)[0]
 
 
-def _predict_job(args) -> list[Prediction]:
-    instance, strategy_name, budget, shuffle_seed = args
-    return predict_instance(instance, strategy_name, budget, shuffle_seed)
+def _predict_sweep(
+    instances: list[Instance],
+    strategy_name: str,
+    budgets: tuple[int | None, ...],
+    shuffle_seed: int | None,
+    jobs: int | None,
+) -> list[list[Prediction]]:
+    """For each budget in order, predictions for all questions of all
+    instances in input order; one job per instance."""
+    args = (instances, repeat(strategy_name), repeat(budgets), repeat(shuffle_seed))
+    if jobs is not None and jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(_predict_budgets, *args))
+    else:
+        chunks = list(map(_predict_budgets, *args))
+    return [[p for chunk in chunks for p in chunk[k]] for k in range(len(budgets))]
 
 
 def predict_instances(
@@ -127,16 +201,7 @@ def predict_instances(
     jobs: int | None = None,
 ) -> list[Prediction]:
     """Predictions for all questions of all instances, in input order."""
-    if jobs is not None and jobs > 1:
-        work = [(inst, strategy_name, budget, shuffle_seed) for inst in instances]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_predict_job, work))
-        return [p for chunk in chunks for p in chunk]
-    return [
-        p
-        for inst in instances
-        for p in predict_instance(inst, strategy_name, budget, shuffle_seed)
-    ]
+    return _predict_sweep(instances, strategy_name, (budget,), shuffle_seed, jobs)[0]
 
 
 def index_predictions(predictions: list[Prediction]) -> dict[str, Prediction]:
@@ -506,15 +571,25 @@ def budget_curve(
     shuffle_seed: int | None = None,
     jobs: int | None = None,
 ) -> BudgetCurve:
-    """Accuracy as a function of the composition-call budget."""
+    """Accuracy as a function of the composition-call budget.
+
+    Each question runs once, at the largest budget, and every budget is
+    scored on a prefix of that trace: a budget-b run takes exactly the first
+    min(b, n) steps of a run that took n, since ``run`` uses the budget only
+    as a stop test, selection never sees it, and shuffle mode draws from its
+    generator once per select. At budget b the label and proof are those of
+    the statement's (else its negation's) fact given or derived by step b,
+    and the composer calls are min(b, n); the module docstring gives every
+    field. The predictions equal those of separate budget-b runs.
+    """
     if not budgets or any(b < 0 for b in budgets):
         raise ValueError("budgets must be non-empty and non-negative")
     curve = BudgetCurve(strategy_name, tuple(budgets))
     n_questions = sum(len(inst.questions) for inst in instances)
     if not n_questions:
         raise ValueError("nothing to score")
-    for budget in budgets:
-        preds = predict_instances(instances, strategy_name, budget, shuffle_seed, jobs)
+    sweep = _predict_sweep(instances, strategy_name, curve.budgets, shuffle_seed, jobs)
+    for budget, preds in zip(curve.budgets, sweep):
         curve.accuracy[budget] = score_entailment(instances, preds)
         curve.proof_accuracy[budget] = score_proof(instances, preds)
         curve.mean_calls[budget] = sum(p.composer_calls for p in preds) / n_questions

@@ -274,8 +274,10 @@ def run(
     )
 
 
-def solve(statement: Statement, trace: InferenceTrace) -> Verdict:
-    """Three-valued verdict for the statement given a finished trace.
+def solve(statement: Statement, trace: InferenceTrace, steps: int | None = None) -> Verdict:
+    """Three-valued verdict for the statement given a finished trace, or
+    given only its first ``steps`` steps: a fact derived later does not
+    count.
 
     A verdict is non-unknown exactly when it carries a proof. If the store
     is contradictory and holds both the statement and its negation, the
@@ -286,7 +288,7 @@ def solve(statement: Statement, trace: InferenceTrace) -> Verdict:
         (LABEL_FALSE, statement.atom.negated()),
     ):
         fact = trace.store.fact_for(atom)
-        if fact is not None:
+        if fact is not None and (steps is None or (fact.derived_step or 0) <= steps):
             return Verdict(label, stitch_proof(trace, fact))
     return Verdict(LABEL_UNKNOWN, None)
 

@@ -31,7 +31,7 @@ surface-style metadata to make this hold).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .vocab import (
     VERB_3SG,
@@ -146,7 +146,7 @@ class Atom:
         return not isinstance(self.subject, Var)
 
     def negated(self) -> "Atom":
-        return replace(self, positive=not self.positive)
+        return Atom(self.subject, self.pred, not self.positive)
 
 
 @dataclass(frozen=True)

@@ -406,6 +406,14 @@ class TestBench:
         assert list(curve["accuracy"]) == ["1", "3"]
         assert curve["accuracy"]["1"] <= curve["accuracy"]["3"]
 
+    def test_jobs_do_not_change_the_curve(self, dataset, tmp_path, capsys):
+        serial_path = tmp_path / "serial.json"
+        jobs_path = tmp_path / "jobs.json"
+        argv = ("bench", "--data", str(dataset), "--budgets", "0,1,3,3,50")
+        assert run_cli(capsys, *argv, "--out", str(serial_path))[0] == 0
+        assert run_cli(capsys, *argv, "--out", str(jobs_path), "--jobs", "2")[0] == 0
+        assert serial_path.read_bytes() == jobs_path.read_bytes()
+
     def test_rejects_malformed_budgets(self, dataset, capsys):
         code, _, err = run_cli(
             capsys, "bench", "--data", str(dataset), "--budgets", "1,x",

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from rulechain import datagen as dg
 from rulechain import evalkit as ek
-from rulechain.theory import parse_statement, parse_theory
+from rulechain.reasoner import run, solve
+from rulechain.strategies import make_strategy
+from rulechain.theory import parse_statement, parse_theory, render
 
 from conftest import CHAIN2_LINES, diamond_ladder_lines
+from test_golden import chain_lines, chain_statements
 
 # chain2 plus an off-path rule; exhaustive derives one useless conclusion.
 SPUR_LINES = CHAIN2_LINES + ["If someone is blue then they are furry."]
@@ -400,6 +403,86 @@ class TestBudgetCurve:
             ek.budget_curve([inst], "goal", (1, -1))
         with pytest.raises(ValueError, match="nothing to score"):
             ek.budget_curve([dg.Instance("T0", inst.theory, [])], "goal", (1,))
+
+
+# ---------------------------------------------------------------------------
+# Budget sweeps read off one trace
+# ---------------------------------------------------------------------------
+
+# zero, a repeat, trace lengths, more than any closure, and unbounded
+SWEEP_BUDGETS = (0, 1, 2, 3, 3, 5, 8, 13, 200, None)
+
+# The exhaustive store holds "Bob is not kind." from step 1 and "Bob is
+# kind." from step 3, so the label flips from false to true at budget 3.
+CONTRADICTION_LINES = [
+    "Bob is red.",
+    "If someone is red then they are not kind.",
+    "If someone is not kind then they are big.",
+    "If someone is big then they are kind.",
+]
+
+
+def separate_runs(inst, strategy, budget, shuffle_seed):
+    """The reference: one run per question at this budget, read by ``solve``."""
+    preds = []
+    for q in inst.questions:
+        strat = make_strategy(strategy, inst.theory, q.statement, shuffle_seed)
+        trace = run(inst.theory, q.statement, strat, budget)
+        verdict = solve(q.statement, trace)
+        generated = tuple(render(a) for a in trace.conclusions())
+        preds.append(ek.Prediction(
+            q.id, verdict.label, verdict.proof, generated, trace.composer_calls,
+            trace.stop_reason,
+        ))
+    return preds
+
+
+@pytest.fixture(scope="module")
+def sweep_instances():
+    """A seeded ``gen`` corpus, the golden chain theory, the capped diamond
+    ladder and a contradictory theory (its questions carry no gold)."""
+    corpus = dg.generate_dataset(
+        dg.GenConfig(target_depths=(0, 1, 2, 3, 4, 5), theories=6, seed=2022)
+    )
+    ladder, ladder_goal = diamond_ladder_lines()
+    theory = parse_theory(CONTRADICTION_LINES, "contra")
+    contra = dg.Instance("contra", theory, [
+        dg.Question(f"contra-q{k}", parse_statement(text), text, None)
+        for k, text in enumerate(("Bob is kind.", "Bob is not kind.", "Bob is big."), 1)
+    ])
+    return corpus + [
+        make_instance(chain_lines(), chain_statements(), "chain"),
+        make_instance(ladder, [ladder_goal, "Bob is cgx.", "Bob is not bax."], "ladder"),
+        contra,
+    ]
+
+
+@pytest.mark.parametrize("shuffle_seed", [None, 7])
+@pytest.mark.parametrize("strategy", ["goal", "exhaustive"])
+def test_sweep_predicts_what_separate_budgeted_runs_do(sweep_instances, strategy, shuffle_seed):
+    sweep = ek._predict_sweep(sweep_instances, strategy, SWEEP_BUDGETS, shuffle_seed, None)
+    assert len(sweep) == len(SWEEP_BUDGETS)
+    for budget, preds in zip(SWEEP_BUDGETS, sweep):
+        expected = [
+            p for inst in sweep_instances
+            for p in separate_runs(inst, strategy, budget, shuffle_seed)
+        ]
+        assert preds == expected
+        assert [
+            p for inst in sweep_instances
+            for p in ek.predict_instance(inst, strategy, budget, shuffle_seed)
+        ] == expected
+    # every stop reason came up, and some trace ends exactly at a budget
+    reasons = {p.stop_reason for preds in sweep for p in preds}
+    assert reasons == {
+        "goal": {"goal_reached", "strategy_stop", "budget_exhausted"},
+        "exhaustive": {"fixpoint", "budget_exhausted"},
+    }[strategy]
+    assert {len(p.generated) for p in sweep[-1]} & set(SWEEP_BUDGETS)
+    if strategy == "exhaustive":
+        by_budget = dict(zip(SWEEP_BUDGETS, sweep))
+        labels = [ek.index_predictions(by_budget[b])["contra-q1"].label for b in (1, 2, 3)]
+        assert labels == ["false", "false", "true"]
 
 
 # ---------------------------------------------------------------------------
