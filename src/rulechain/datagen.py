@@ -9,10 +9,15 @@ derivable fact has exactly one derivation, every statement has a unique
 proof, and the closure size is known in advance; the instance is then
 verified against the closure oracle and resampled on any mismatch.
 
-The closure oracle in this module is deliberately independent of the
-inference engine: it recomputes the full forward closure by brute force,
-recording every distinct derivation of every fact, and is the authority for
-gold labels, depths, and proof sets.
+The closure oracle in this module is the authority for gold labels,
+depths, and proof sets. It computes the full forward closure in semi-naive
+rounds (Bancilhon & Ramakrishnan, 1986): round k grounds only the rules
+that an atom first known in round k-1 can complete, so each derivation is
+found exactly once, in the round after its last premise becomes known, and
+an atom's round is its minimal proof depth. It records every distinct
+derivation of every fact. It is deliberately independent of the inference
+engine: set-at-a-time rounds over its own substitution, with none of the
+engine's fact store, binding enumeration, or agenda.
 
 Questions default to one true, one false (the negation of a derivable
 fact), and one unknown statement per depth level present in the theory.
@@ -105,12 +110,23 @@ def _ground(atom: Atom, entity: Entity | None) -> Atom:
     return atom
 
 
+def _ground_rule(rule: Rule, entity: Entity | None) -> tuple[tuple[Atom, ...], Atom]:
+    """The ground premises and conclusion of one (rule, entity) pair."""
+    return tuple(_ground(p, entity) for p in rule.premises), _ground(rule.conclusion, entity)
+
+
 @dataclass
 class GoldClosure:
-    """Everything derivable from a theory, with every distinct derivation."""
+    """Everything derivable from a theory, with every distinct derivation.
+
+    ``derived`` holds the atoms that are not given, in the order the rounds
+    of ``gold_closure`` first derived them, so by depth; only its length is
+    read. The derivations of an atom are in no particular order; proof
+    enumeration sorts them.
+    """
 
     given: dict[Atom, str]  # atom -> sentence id
-    derived: list[Atom]  # first-derivation order
+    derived: list[Atom]  # by round (depth), then by discovery
     derivations: dict[Atom, list[tuple[str, tuple[Atom, ...]]]]
     depth: dict[Atom, int]  # minimal proof depth per known atom
     contradiction: bool
@@ -120,58 +136,66 @@ class GoldClosure:
 
 
 def gold_closure(theory: Theory) -> GoldClosure:
-    """Brute-force forward closure recording all derivations of all facts.
+    """Forward closure in semi-naive rounds, recording every derivation.
 
-    Independent of the engine: premises are checked by direct substitution
-    against the known set, iterating rules over candidate entities until
-    nothing changes.
+    Round k reads only the atoms first known in round k-1. Each such atom
+    offers the rules with a premise of its predicate and polarity: a
+    variable premise binds the atom's subject (if the quantifier allows
+    it), and an equal ground premise offers a ground rule's one binding or
+    every allowed entity of a quantified rule. A (rule, entity) pair counts
+    when all its premises are known by the end of round k-1, which happens
+    in exactly one round, so each derivation is recorded once. An atom
+    first derived in round k has minimal proof depth k.
+
+    Independent of the engine: premises are grounded by direct substitution
+    and checked against the known set, with no store, matcher or agenda.
     """
     given = {f.atom: f.id for f in theory.facts}
     known: set[Atom] = set(given)
+    depth: dict[Atom, int] = dict.fromkeys(given, 0)
     derived: list[Atom] = []
     derivations: dict[Atom, list[tuple[str, tuple[Atom, ...]]]] = {}
-    seen_derivations: set[tuple[str, Atom, tuple[Atom, ...]]] = set()
     entities = theory.entity_order()
+    allowed = {
+        QUANT_NONE: (None,),
+        QUANT_PEOPLE: tuple(e for e in entities if e.is_person),
+        QUANT_THINGS: tuple(entities),
+    }
+    by_premise: dict[tuple, list[tuple[int, Rule, Atom]]] = {}
+    for i, rule in enumerate(theory.rules):
+        for p in rule.premises:
+            by_premise.setdefault((p.pred, p.positive), []).append((i, rule, p))
 
-    changed = True
-    while changed:
-        changed = False
-        for rule in theory.rules:
-            if rule.quantifier == QUANT_NONE:
-                candidates: list[Entity | None] = [None]
-            elif rule.quantifier == QUANT_PEOPLE:
-                candidates = [e for e in entities if e.is_person]
-            else:
-                candidates = list(entities)
-            for entity in candidates:
-                premises = tuple(_ground(p, entity) for p in rule.premises)
-                if not all(p in known for p in premises):
+    frontier = list(given)
+    k = 0
+    while frontier:
+        k += 1
+        fresh: list[Atom] = []
+        fired: set[tuple[int, Entity | None]] = set()
+        for atom in frontier:
+            for i, rule, premise in by_premise.get((atom.pred, atom.positive), ()):
+                if isinstance(premise.subject, Var):
+                    if rule.quantifier == QUANT_PEOPLE and not atom.subject.is_person:
+                        continue
+                    bindings = (atom.subject,)
+                elif premise == atom:
+                    bindings = allowed[rule.quantifier]
+                else:
                     continue
-                conclusion = _ground(rule.conclusion, entity)
-                key = (rule.id, conclusion, premises)
-                if key not in seen_derivations:
-                    seen_derivations.add(key)
+                for entity in bindings:
+                    if (i, entity) in fired:
+                        continue
+                    fired.add((i, entity))
+                    premises, conclusion = _ground_rule(rule, entity)
+                    if not known.issuperset(premises):
+                        continue
                     derivations.setdefault(conclusion, []).append((rule.id, premises))
-                    changed = True
-                if conclusion not in known:
-                    known.add(conclusion)
-                    derived.append(conclusion)
-
-    depth: dict[Atom, int] = {a: 0 for a in given}
-    pending = dict.fromkeys(derived)
-    relaxed = True
-    while relaxed:
-        relaxed = False
-        for atom in pending:
-            best = depth.get(atom)
-            for _, premises in derivations.get(atom, []):
-                if all(p in depth for p in premises):
-                    d = 1 + max(depth[p] for p in premises)
-                    if best is None or d < best:
-                        best = d
-                        relaxed = True
-            if best is not None:
-                depth[atom] = best
+                    if conclusion not in depth:
+                        depth[conclusion] = k
+                        fresh.append(conclusion)
+        known.update(fresh)
+        derived += fresh
+        frontier = fresh
 
     contradiction = any(a.negated() in known for a in known)
     return GoldClosure(given, derived, derivations, depth, contradiction)
