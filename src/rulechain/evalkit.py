@@ -114,29 +114,38 @@ def _predict_budgets(
     module docstring)."""
     top = None if None in budgets else max(budgets)
     per_budget: list[list[Prediction]] = [[] for _ in budgets]
-    cached_trace = None
+
+    def traced(q: Question, strategy) -> tuple[InferenceTrace, tuple[str, ...]]:
+        trace = run(instance.theory, q.statement, strategy, top)
+        return trace, tuple(render(atom) for atom in trace.conclusions())
+
+    shared = None
     for q in instance.questions:
         strategy = make_strategy(strategy_name, instance.theory, q.statement, shuffle_seed)
         if strategy.goal_directed:
-            trace = run(instance.theory, q.statement, strategy, top)
+            trace, generated = traced(q, strategy)
         else:
-            # Exhaustive traces ignore the question, so one run serves all.
-            if cached_trace is None:
-                cached_trace = run(instance.theory, q.statement, strategy, top)
-            trace = cached_trace
-        for preds, prediction in zip(per_budget, _read_budgets(q, trace, budgets)):
+            # Exhaustive traces ignore the question, so one run, rendered
+            # once, serves all.
+            if shared is None:
+                shared = traced(q, strategy)
+            trace, generated = shared
+        for preds, prediction in zip(per_budget, _read_budgets(q, trace, generated, budgets)):
             preds.append(prediction)
     return per_budget
 
 
 def _read_budgets(
-    question: Question, trace: InferenceTrace, budgets: tuple[int | None, ...]
+    question: Question,
+    trace: InferenceTrace,
+    generated: tuple[str, ...],
+    budgets: tuple[int | None, ...],
 ) -> list[Prediction]:
     """What a run stopped at each budget predicts, read off ``trace``, a
-    run at a budget no smaller than any of them."""
+    run at a budget no smaller than any of them, whose rendered
+    conclusions are ``generated``."""
     statement = question.statement
     steps = len(trace.steps)
-    generated = tuple(render(s.conclusion.atom) for s in trace.steps)
     # The verdict changes only at the steps that derive the statement or its
     # negation, so each distinct verdict is solved (and its proof stitched)
     # once for all budgets.
