@@ -114,21 +114,17 @@ def _predict_budgets(
     module docstring)."""
     top = None if None in budgets else max(budgets)
     per_budget: list[list[Prediction]] = [[] for _ in budgets]
-
-    def traced(q: Question, strategy) -> tuple[InferenceTrace, tuple[str, ...]]:
-        trace = run(instance.theory, q.statement, strategy, top)
-        return trace, tuple(render(atom) for atom in trace.conclusions())
-
     shared = None
     for q in instance.questions:
         strategy = make_strategy(strategy_name, instance.theory, q.statement, shuffle_seed)
-        if strategy.goal_directed:
-            trace, generated = traced(q, strategy)
+        if strategy.goal_directed or shared is None:
+            trace = run(instance.theory, q.statement, strategy, top)
+            generated = tuple(render(s.conclusion.atom) for s in trace.steps)
+            if not strategy.goal_directed:
+                # Exhaustive traces ignore the question, so one run,
+                # rendered once, serves all.
+                shared = trace, generated
         else:
-            # Exhaustive traces ignore the question, so one run, rendered
-            # once, serves all.
-            if shared is None:
-                shared = traced(q, strategy)
             trace, generated = shared
         for preds, prediction in zip(per_budget, _read_budgets(q, trace, generated, budgets)):
             preds.append(prediction)
