@@ -201,7 +201,8 @@ def test_oracle_matches_the_reference_on_a_gen_corpus():
 
 
 def reversed_rules(lines):
-    """The scaling family with its rule chain written last rule first."""
+    """The 40 x 40 scaling family, whose 40 facts come first, with its rule
+    chain written last rule first."""
     return lines[:40] + lines[40:][::-1]
 
 
