@@ -1,3 +1,5 @@
+import string
+
 import pytest
 
 from rulechain.theory import parse_statement, parse_theory
@@ -31,11 +33,13 @@ def diamond_ladder_lines(layers=7):
     """Bob is a0; a_i -> b_i, a_i -> c_i, b_i -> a_i+1, c_i -> a_i+1.
 
     2**layers equal-depth proofs of the last a, more than the gold cap of
-    64 once layers reach 7. The rule order (a->b, a->c, c->a, b->a) makes
-    both strategies find a sound proof that the capped list leaves out.
+    64 once layers reach 7, and more than the enumeration's hard limit of
+    8 x 64 from 10. The rule order (a->b, a->c, c->a, b->a) makes both
+    strategies find a sound proof that the capped list leaves out. At most
+    25 layers, one letter per level.
     """
     def attr(kind, i):
-        return f"{kind}{'abcdefgh'[i]}x"
+        return f"{kind}{string.ascii_lowercase[i]}x"
 
     rule = "If someone is {} then they are {}."
     lines = [f"Bob is {attr('a', 0)}."]

@@ -6,9 +6,11 @@ and every ``InferenceTrace.to_json()`` on three inputs: a fixed-seed
 ``rulechain gen`` corpus at depths 0..5, one theory of 8 entities with 4
 parallel depth-4 chains, and one theory of two stacked 10-way diamonds
 (100 equal-depth proofs, capped at 64). The diamond theory, where
-selection has real choice, is also run with a shuffle seed. Any change in
-what the engine selects, in proof stitching or in scoring shows here as a
-diff.
+selection has real choice, is also run with a shuffle seed. It also holds
+the labelled dataset of each input, gold proofs included, and of a
+10-layer diamond ladder whose 1,024 proofs pass the enumeration's hard
+limit. Any change in gold labelling, in what the engine selects, in proof
+stitching or in scoring shows here as a diff.
 
 After a change that is meant to alter these outputs, rewrite the files
 with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -36,6 +38,8 @@ from rulechain.reasoner import run
 from rulechain.strategies import STRATEGY_NAMES, make_strategy
 from rulechain.theory import parse_statement, parse_theory, render
 
+from conftest import diamond_ladder_lines
+
 GOLDEN = Path(__file__).parent / "golden"
 
 CORPUS_ARGV = ["--theories", "6", "--depths", "0..5", "--seed", "2022"]
@@ -43,6 +47,8 @@ SHUFFLE_SEED = 7
 # zero, a repeat, the exact length of some traces, and more than any trace
 BUDGETS = "0,1,2,3,3,5,7,12,200"
 INPUTS = ("corpus", "chain", "diamond")
+DATASETS = (*INPUTS, "ladder")
+LADDER_LAYERS = 10
 
 NAMES = ("Anne", "Bob", "Dave", "Erin", "Gary", "Max", "Nina", "Tina")
 CHAINS = (
@@ -99,6 +105,12 @@ def diamond_statements() -> list[str]:
     ]
 
 
+def ladder_statements(top: str) -> list[str]:
+    """The top of the ladder (past the hard limit), a level under the cap,
+    a false and an unknown statement."""
+    return [top, "Bob is afx.", "Bob is not cix.", "Bob is dull."]
+
+
 RUNS = [(name, strategy, None) for name in INPUTS for strategy in STRATEGY_NAMES]
 RUNS += [("diamond", strategy, SHUFFLE_SEED) for strategy in STRATEGY_NAMES]
 
@@ -114,7 +126,10 @@ def _kinds(shuffle_seed: int | None) -> tuple[str, ...]:
     return ("curve.json", "predictions.jsonl", "traces.jsonl")
 
 
-GOLDEN_NAMES = sorted(f"{_stem(*r)}.{kind}" for r in RUNS for kind in _kinds(r[2]))
+GOLDEN_NAMES = sorted(
+    [f"{_stem(*r)}.{kind}" for r in RUNS for kind in _kinds(r[2])]
+    + [f"{name}.dataset.jsonl" for name in DATASETS]
+)
 
 
 def write_labelled(path: Path, theory_id: str, lines, statements) -> None:
@@ -148,12 +163,14 @@ def trace_rows(data: Path, strategy: str, shuffle_seed: int | None) -> list[dict
 
 def golden_outputs(workdir: Path) -> dict[str, str]:
     """File name -> contents of every golden output, computed afresh."""
-    data = {name: workdir / f"{name}.jsonl" for name in INPUTS}
+    data = {name: workdir / f"{name}.jsonl" for name in DATASETS}
     assert main(["gen", "--out", str(data["corpus"]), *CORPUS_ARGV]) == 0
     write_labelled(data["chain"], "chain", chain_lines(), chain_statements())
     write_labelled(data["diamond"], "diamond", diamond_lines(), diamond_statements())
+    ladder, top = diamond_ladder_lines(LADDER_LAYERS)
+    write_labelled(data["ladder"], "ladder", ladder, ladder_statements(top))
 
-    out: dict[str, str] = {}
+    out = {f"{name}.dataset.jsonl": data[name].read_text(encoding="utf-8") for name in DATASETS}
     for name, strategy, shuffle_seed in RUNS:
         stem = _stem(name, strategy, shuffle_seed)
         shuffle = [] if shuffle_seed is None else ["--shuffle-seed", str(shuffle_seed)]
