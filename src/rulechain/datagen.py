@@ -29,6 +29,7 @@ quantified people-rules keep their bindings).
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -121,8 +122,9 @@ class GoldClosure:
 
     ``derived`` holds the atoms that are not given, in the order the rounds
     of ``gold_closure`` first derived them, so by depth; only its length is
-    read. The derivations of an atom are in no particular order; proof
-    enumeration sorts them.
+    read. The derivations of an atom are in no particular order;
+    ``proof_index`` sorts each atom's once, when gold-proof search first
+    reaches it.
     """
 
     given: dict[Atom, str]  # atom -> sentence id
@@ -133,6 +135,58 @@ class GoldClosure:
 
     def knows(self, atom: Atom) -> bool:
         return atom in self.depth
+
+    @functools.cached_property
+    def proof_index(self) -> _ProofIndex:
+        """The numbered atoms that every question's gold-proof search shares."""
+        return _ProofIndex(self.given, self.derivations, self.depth)
+
+
+class _ProofIndex:
+    """A closure's atoms as small ints, filled in as gold-proof search goes.
+
+    An atom gets a number the first time the search reaches it. Its
+    derivations are sorted once, on first visit, by (depth, rule id,
+    sorted rendered premises), and kept as (rule id, premise numbers).
+    ``given`` maps the number of each given atom to its sentence id. Lazy
+    because a question usually reaches only a few atoms of its closure.
+    """
+
+    def __init__(self, given, derivations, depth):
+        self._given = given
+        self._derivations = derivations
+        self._depth = depth
+        self._atoms: list[Atom] = []  # number -> atom
+        self._numbers: dict[Atom, int] = {}
+        self._sorted: dict[int, list[tuple[str, tuple[int, ...]]]] = {}
+        self.given: dict[int, str] = {}
+
+    def number(self, atom: Atom) -> int:
+        n = self._numbers.get(atom)
+        if n is None:
+            n = self._numbers[atom] = len(self._atoms)
+            self._atoms.append(atom)
+            if atom in self._given:
+                self.given[n] = self._given[atom]
+        return n
+
+    def derivations(self, n: int) -> list[tuple[str, tuple[int, ...]]]:
+        derivs = self._sorted.get(n)
+        if derivs is None:
+            depth = self._depth
+
+            def key(deriv):
+                rule_id, premises = deriv
+                d = 1 + max((depth[p] for p in premises), default=0)
+                return (d, rule_id, tuple(sorted(render(p) for p in premises)))
+
+            derivs = self._sorted[n] = [
+                (rule_id, tuple(map(self.number, premises)))
+                for rule_id, premises in sorted(
+                    self._derivations.get(self._atoms[n], ()), key=key
+                )
+            ]
+        return derivs
 
 
 def gold_closure(theory: Theory) -> GoldClosure:
@@ -213,37 +267,30 @@ class GoldAnnotation:
     proofs_truncated: bool = False
 
 
-def _proof_assignments(closure: GoldClosure, target: Atom, limit: int):
-    """Yield proof choice-maps for ``target``: one derivation per derived
-    atom in the proof's support, acyclic, at most ``limit`` of them."""
+def _proof_assignments(index: _ProofIndex, target: int, limit: int):
+    """Yield proof choice-maps for atom number ``target``: one derivation
+    per derived atom in the proof's support, acyclic, at most ``limit``."""
+    given = index.given
+    derivations = index.derivations
 
-    def ordered_derivs(atom: Atom):
-        def key(deriv):
-            rule_id, premises = deriv
-            depths = [closure.depth.get(p) for p in premises]
-            d = 1 + max((x for x in depths if x is not None), default=0)
-            return (d, rule_id, tuple(sorted(render(p) for p in premises)))
-
-        return sorted(closure.derivations.get(atom, []), key=key)
-
-    def proofs_for(atom: Atom, assignment: dict, stack: frozenset):
-        if atom in closure.given:
+    def proofs_for(n: int, assignment: dict, stack: frozenset):
+        if n in given:
             yield assignment
             return
-        if atom in stack:
+        if n in stack:
             return
-        if atom in assignment:
+        if n in assignment:
             yield assignment
             return
-        yield from derive(atom, assignment, stack)
+        yield from derive(n, assignment, stack)
 
-    def derive(atom: Atom, assignment: dict, stack: frozenset):
+    def derive(n: int, assignment: dict, stack: frozenset):
         # premises resolve given-first; only the root ignores its givenness
-        for deriv in ordered_derivs(atom):
+        inner_stack = stack | {n}
+        for deriv in derivations(n):
             _, premises = deriv
             started = dict(assignment)
-            started[atom] = deriv
-            inner_stack = stack | {atom}
+            started[n] = deriv
 
             def expand(idx: int, asg: dict):
                 if idx == len(premises):
@@ -257,17 +304,17 @@ def _proof_assignments(closure: GoldClosure, target: Atom, limit: int):
     yield from itertools.islice(derive(target, {}, frozenset()), limit)
 
 
-def _assignment_depth(closure: GoldClosure, assignment: dict, target: Atom) -> int:
-    memo: dict[Atom, int] = {}
+def _assignment_depth(given: dict[int, str], assignment: dict, target: int) -> int:
+    memo: dict[int, int] = {}
 
-    def d(atom: Atom) -> int:
-        if atom in closure.given:
+    def d(n: int) -> int:
+        if n in given:
             return 0
-        if atom in memo:
-            return memo[atom]
-        _, premises = assignment[atom]
-        memo[atom] = 1 + max(d(p) for p in premises)
-        return memo[atom]
+        if n in memo:
+            return memo[n]
+        _, premises = assignment[n]
+        memo[n] = 1 + max(d(p) for p in premises)
+        return memo[n]
 
     if target in assignment:
         # score the root's own derivation even when the atom is also given
@@ -278,18 +325,27 @@ def _assignment_depth(closure: GoldClosure, assignment: dict, target: Atom) -> i
 
 def _gold_proofs(closure: GoldClosure, target: Atom, cap: int) -> tuple[list[str], bool]:
     """Canonical proof strings of ``target``, minimal depth first, capped,
-    and whether the cap or the enumeration limit cut the set."""
+    and whether the cap or the enumeration limit cut the set.
+
+    The search runs over the closure's ``proof_index``: atom numbers, with
+    each atom's derivations sorted once per closure, so the order in which
+    assignments are enumerated, and so which survive the hard limit, is a
+    function of the closure alone.
+    """
     hard_limit = max(8 * cap, 256)
+    index = closure.proof_index
+    root = index.number(target)
+    given = index.given
     found: dict[str, int] = {}  # canonical string -> depth
     count = 0
-    if target in closure.given:
-        found[canonical_proof_string(target, closure.given, {})] = 0
+    if root in given:
+        found[canonical_proof_string(root, given, {})] = 0
         count += 1
     if target in closure.derivations:
-        for assignment in _proof_assignments(closure, target, hard_limit + 1):
-            canonical = canonical_proof_string(target, closure.given, assignment)
+        for assignment in _proof_assignments(index, root, hard_limit + 1):
+            canonical = canonical_proof_string(root, given, assignment)
             if canonical not in found:
-                found[canonical] = _assignment_depth(closure, assignment, target)
+                found[canonical] = _assignment_depth(given, assignment, root)
             count += 1
     ordered = sorted(found, key=lambda c: (found[c], c))
     truncated = len(ordered) > cap or count > hard_limit

@@ -24,6 +24,7 @@ only writer of this form and ``check_proof`` its only reader.
 """
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from collections.abc import Iterable
@@ -293,6 +294,7 @@ def solve(statement: Statement, trace: InferenceTrace, steps: int | None = None)
     return Verdict(LABEL_UNKNOWN, None)
 
 
+@functools.lru_cache(maxsize=4096)
 def _id_sort_key(fid: str) -> tuple[int, int]:
     m = re.fullmatch(r"(sent|int)(\d+)", fid)
     if not m:

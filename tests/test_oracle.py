@@ -1,19 +1,32 @@
 """The closure oracle against the engine and against a brute-force reference,
 on theories drawn from the grammar, a generated corpus and the scaling
-family."""
+family; its gold-proof search against the atom-keyed enumerator it
+replaced, on the same theories and on diamond ladders."""
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 
 import rulechain.datagen as datagen_module
 from rulechain.datagen import (
+    DEPTH_NA,
     ContradictionError,
     GenConfig,
+    GoldAnnotation,
     GoldClosure,
     assign_gold,
     generate_dataset,
     gold_closure,
 )
-from rulechain.reasoner import LABEL_UNKNOWN, check_proof, run, solve
+from rulechain.reasoner import (
+    LABEL_FALSE,
+    LABEL_TRUE,
+    LABEL_UNKNOWN,
+    canonical_proof_string,
+    check_proof,
+    run,
+    solve,
+)
 from rulechain.strategies import ExhaustiveStrategy, GoalDirectedStrategy
 from rulechain.theory import (
     QUANT_NONE,
@@ -27,7 +40,9 @@ from rulechain.theory import (
     render,
 )
 
+from conftest import diamond_ladder_lines
 from grammar_theories import facts, scaling_lines, theories
+from test_golden import diamond_lines, diamond_statements
 
 
 def _ground(atom, entity):
@@ -88,6 +103,117 @@ def reference_gold_closure(theory):
 
     contradiction = any(a.negated() in known for a in known)
     return GoldClosure(given, derived, derivations, depth, contradiction)
+
+
+def reference_proof_assignments(closure, target, limit):
+    """The atom-keyed enumerator: proof choice-maps for ``target``, one
+    derivation per derived atom, acyclic, at most ``limit``, each atom's
+    derivations sorted afresh on every visit."""
+
+    def ordered_derivs(atom):
+        def key(deriv):
+            rule_id, premises = deriv
+            depths = [closure.depth.get(p) for p in premises]
+            d = 1 + max((x for x in depths if x is not None), default=0)
+            return (d, rule_id, tuple(sorted(render(p) for p in premises)))
+
+        return sorted(closure.derivations.get(atom, []), key=key)
+
+    def proofs_for(atom, assignment, stack):
+        if atom in closure.given:
+            yield assignment
+            return
+        if atom in stack:
+            return
+        if atom in assignment:
+            yield assignment
+            return
+        yield from derive(atom, assignment, stack)
+
+    def derive(atom, assignment, stack):
+        for deriv in ordered_derivs(atom):
+            _, premises = deriv
+            started = dict(assignment)
+            started[atom] = deriv
+            inner_stack = stack | {atom}
+
+            def expand(idx, asg):
+                if idx == len(premises):
+                    yield asg
+                    return
+                for asg2 in proofs_for(premises[idx], asg, inner_stack):
+                    yield from expand(idx + 1, asg2)
+
+            yield from expand(0, started)
+
+    yield from itertools.islice(derive(target, {}, frozenset()), limit)
+
+
+def reference_assignment_depth(closure, assignment, target):
+    memo = {}
+
+    def d(atom):
+        if atom in closure.given:
+            return 0
+        if atom in memo:
+            return memo[atom]
+        _, premises = assignment[atom]
+        memo[atom] = 1 + max(d(p) for p in premises)
+        return memo[atom]
+
+    if target in assignment:
+        _, premises = assignment[target]
+        return 1 + max((d(p) for p in premises), default=0)
+    return d(target)
+
+
+def reference_gold_proofs(closure, target, cap):
+    hard_limit = max(8 * cap, 256)
+    found = {}
+    count = 0
+    if target in closure.given:
+        found[canonical_proof_string(target, closure.given, {})] = 0
+        count += 1
+    if target in closure.derivations:
+        for assignment in reference_proof_assignments(closure, target, hard_limit + 1):
+            canonical = canonical_proof_string(target, closure.given, assignment)
+            if canonical not in found:
+                found[canonical] = reference_assignment_depth(closure, assignment, target)
+            count += 1
+    ordered = sorted(found, key=lambda c: (found[c], c))
+    truncated = len(ordered) > cap or count > hard_limit
+    return ordered[:cap], truncated
+
+
+def reference_assign_gold(closure, statement, cap):
+    for label, target in (
+        (LABEL_TRUE, statement.atom),
+        (LABEL_FALSE, statement.atom.negated()),
+    ):
+        if closure.knows(target):
+            proofs, truncated = reference_gold_proofs(closure, target, cap)
+            return GoldAnnotation(label, closure.depth[target], tuple(proofs), truncated)
+    return GoldAnnotation(LABEL_UNKNOWN, DEPTH_NA, ())
+
+
+PROOF_CAPS = (1, 2, 64)
+
+
+def closure_statements(closure):
+    """Every known atom, and its negation."""
+    atoms = [*closure.given, *closure.derived]
+    return [*(Statement(a) for a in atoms), *(Statement(a.negated()) for a in atoms)]
+
+
+def assert_gold_matches_the_reference(theory, closure, statements):
+    """``assign_gold`` labels ``statements`` as the atom-keyed enumerator
+    does at every proof cap, all with one closure and so one proof index."""
+    for cap in PROOF_CAPS:
+        for statement in statements:
+            gold = assign_gold(theory, statement, closure, proof_cap=cap)
+            assert gold == reference_assign_gold(closure, statement, cap), (
+                render(statement.atom), cap
+            )
 
 
 def assert_matches_the_reference(theory):
@@ -200,6 +326,39 @@ def test_oracle_matches_the_reference_on_a_gen_corpus():
         assert_matches_the_reference(inst.theory)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=theories(), statement_text=facts())
+@with_examples
+def test_gold_proofs_match_the_reference_on_the_grammar(lines, statement_text):
+    theory = parse_theory(lines)
+    closure = gold_closure(theory)
+    if not closure.contradiction:
+        statements = [parse_statement(statement_text), *closure_statements(closure)]
+        assert_gold_matches_the_reference(theory, closure, statements)
+
+
+def test_gold_proofs_match_the_reference_on_a_gen_corpus():
+    cfg = GenConfig(target_depths=(0, 1, 2, 3, 4, 5), theories=36, seed=7)
+    for inst in generate_dataset(cfg):
+        closure = gold_closure(inst.theory)
+        statements = [*(q.statement for q in inst.questions), *closure_statements(closure)]
+        assert_gold_matches_the_reference(inst.theory, closure, statements)
+
+
+@pytest.mark.parametrize("layers", range(1, 11))
+def test_gold_proofs_match_the_reference_on_diamond_ladders(layers):
+    """Every level of the ladder: the a atoms, at even depths. From 9
+    layers the top has more proofs than the enumeration keeps (256 at caps
+    1 and 2, 512 at cap 64), so the search order decides which are ranked."""
+    lines, top = diamond_ladder_lines(layers)
+    theory = parse_theory(lines, "ladder")
+    closure = gold_closure(theory)
+    levels = [Statement(a) for a in closure.derived if closure.depth[a] % 2 == 0]
+    assert levels[-1] == parse_statement(top)
+    assert_gold_matches_the_reference(theory, closure, levels)
+    assert assign_gold(theory, levels[-1], closure).proofs_truncated == (layers >= 7)
+
+
 def reversed_rules(lines):
     """The 40 x 40 scaling family, whose 40 facts come first, with its rule
     chain written last rule first."""
@@ -230,3 +389,24 @@ def test_oracle_work_is_linear_in_the_closure(monkeypatch):
     closure = gold_closure(theory)
     assert len(closure.derived) == 40 * 40
     assert len(calls) <= 2 * len(closure.derived)
+
+
+def test_gold_proofs_render_each_premise_at_most_once_per_closure(monkeypatch):
+    """The proof index sorts an atom's derivations once per closure, so
+    labelling every question of the golden diamond renders no more
+    premises than the closure's derivations hold (40); sorting afresh on
+    every visit rendered 262."""
+    theory = parse_theory(diamond_lines(), "diamond")
+    closure = gold_closure(theory)
+    premises = sum(len(p) for derivs in closure.derivations.values() for _, p in derivs)
+    calls = []
+    original = datagen_module.render
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(datagen_module, "render", counting)
+    for text in diamond_statements():
+        assign_gold(theory, parse_statement(text), closure)
+    assert 0 < len(calls) <= premises
