@@ -150,6 +150,8 @@ class _ProofIndex:
     sorted rendered premises), and kept as (rule id, premise numbers).
     ``given`` maps the number of each given atom to its sentence id. Lazy
     because a question usually reaches only a few atoms of its closure.
+    It holds the closure's maps rather than the closure, so caching it on
+    the closure makes no reference cycle.
     """
 
     def __init__(self, given, derivations, depth):
