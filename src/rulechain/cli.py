@@ -310,10 +310,21 @@ def _cmd_eval(args) -> int:
     all_preds = list(preds)
     if args.equivalence:
         base_by_id = {inst.id: inst for inst in instances}
-        groups: dict[str, list] = {}
-        for base_id, _, renaming, variant in _parse_rows(args.equivalence, equivalence_from_row):
-            if base_id not in base_by_id:
+
+        def variant_row(row):
+            base_id, _, renaming, variant = equivalence_from_row(row)
+            base = base_by_id.get(base_id)
+            if base is None:
                 raise CliError(f"equivalence base {base_id} is not in {args.data}")
+            if len(variant.questions) != len(base.questions):
+                raise CliError(
+                    f"{len(variant.questions)} questions, but base {base_id} "
+                    f"has {len(base.questions)}"
+                )
+            return base_id, renaming, variant
+
+        groups: dict[str, list] = {}
+        for base_id, renaming, variant in _parse_rows(args.equivalence, variant_row):
             groups.setdefault(base_id, []).append((variant, renaming))
         variants = [v for vs in groups.values() for v, _ in vs]
         all_preds += predict_instances(

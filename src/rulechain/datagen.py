@@ -399,7 +399,6 @@ class GenConfig:
     rel_prob: float = 0.2
     ground_rule_prob: float = 0.15
     share_subject_prob: float = 0.3
-    cone_intersecting_distractors: bool = False
     proper_names: tuple[str, ...] = vocab.GEN_PROPER_NAMES
     person_nouns: tuple[str, ...] = vocab.GEN_PERSON_NOUNS
     animal_nouns: tuple[str, ...] = vocab.GEN_ANIMAL_NOUNS
@@ -645,7 +644,6 @@ def _build_instance(
         rng.randint(*chains_cfg) if isinstance(chains_cfg, tuple) else chains_cfg
     )
     expected_extra = 0
-    first_distractor = True
     for _ in range(n_chains):
         length = rng.randint(*config.distractor_len_range)
         if length == 0:
@@ -657,22 +655,6 @@ def _build_instance(
         )
         _build_chain(config, rng, decks, draft, other, length, plain=True)
         expected_extra += length
-        if config.cone_intersecting_distractors and first_distractor and depth >= 1:
-            # A rule that concludes straight into the relevance cone of the
-            # main chain, derivable from a fresh fact about another subject.
-            bait = decks.draw_attr()
-            hook = decks.draw_subject()
-            level = rng.randint(1, depth)
-            target_pred = chain[level].pred
-            if isinstance(target_pred, IsAttr):
-                draft.add_fact(Atom(hook, IsAttr(bait), True))
-                draft.add_rule(
-                    (Atom(X, IsAttr(bait), True),),
-                    Atom(X, target_pred, True),
-                    QUANT_THINGS,
-                    RuleStyle(FORM_IF, (False,)),
-                )
-                first_distractor = False
 
     while len(draft.fact_atoms) < config.facts_range[0]:
         draft.add_fact(Atom(decks.draw_subject(), IsAttr(decks.draw_attr()), True))
@@ -705,11 +687,8 @@ def _build_instance(
     closure = gold_closure(theory)
     if closure.contradiction:
         raise _Retry("contradictory theory")
-    if not config.cone_intersecting_distractors:
-        if len(closure.derived) != depth + expected_extra:
-            raise _Retry(
-                f"closure size {len(closure.derived)} != {depth + expected_extra}"
-            )
+    if len(closure.derived) != depth + expected_extra:
+        raise _Retry(f"closure size {len(closure.derived)} != {depth + expected_extra}")
     for level, atom in enumerate(chain):
         if closure.depth.get(atom) != level:
             raise _Retry(f"chain atom at level {level} has wrong depth")
@@ -1027,9 +1006,17 @@ def instance_from_json(obj: dict) -> Instance:
         if (q["label"] == LABEL_UNKNOWN) == bool(q["proofs"]):
             want = "no proofs" if q["label"] == LABEL_UNKNOWN else "at least one proof"
             raise ValueError(f"question {q['id']}: {q['label']} questions carry {want}")
+        depth = q["depth"]
+        if q["label"] == LABEL_UNKNOWN:
+            if depth != DEPTH_NA:
+                raise ValueError(
+                    f"question {q['id']}: unknown questions have depth {DEPTH_NA!r}"
+                )
+        elif type(depth) is not int or depth < 0:
+            raise ValueError(f"question {q['id']}: depth must be a non-negative integer")
         ann = GoldAnnotation(
             q["label"],
-            q["depth"],
+            depth,
             tuple(q["proofs"]),
             bool(q.get("proofs_truncated", False)),
         )

@@ -253,7 +253,7 @@ def run(
     store = FactStore(theory)
     goal = statement.atom
     anti_goal = goal.negated()
-    goal_directed = bool(getattr(strategy, "goal_directed", False))
+    goal_directed = strategy.goal_directed
     steps: list[OneHopStep] = []
     while True:
         if goal_directed and (store.has_atom(goal) or store.has_atom(anti_goal)):
@@ -262,7 +262,7 @@ def run(
         if budget is not None and len(steps) >= budget:
             reason = STOP_BUDGET_EXHAUSTED
             break
-        decision = strategy.select(store, theory, statement)
+        decision = strategy.select(store)
         if isinstance(decision, Stop):
             reason = STOP_STRATEGY if goal_directed else STOP_FIXPOINT
             break
@@ -490,11 +490,11 @@ def _match_rule(rule: Rule, premise_atoms: list[Atom]) -> Atom:
     if len(premise_atoms) != len(rule.premises):
         raise ProofCheckError(f"{rule.id} takes {len(rule.premises)} facts")
     want = Counter(premise_atoms)
-    candidates: list[Entity | None] = [None]
+    entities: list[Entity | None] = [None]
     if rule.quantifier != QUANT_NONE:
         subjects = dict.fromkeys(a.subject for a in premise_atoms)
-        candidates = [e for e in subjects if _quantifier_allows(rule, e)]
-    for entity in candidates:
+        entities = [e for e in subjects if _quantifier_allows(rule, e)]
+    for entity in entities:
         if Counter(substitute(p, entity) for p in rule.premises) == want:
             return substitute(rule.conclusion, entity)
     raise ProofCheckError(f"facts do not match the premises of {rule.id}")

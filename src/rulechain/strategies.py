@@ -1,7 +1,9 @@
 """Selection strategies: what to infer next.
 
-Two strategies share one contract (``select(store, theory, statement)``
-returning Proceed or Stop):
+Two strategies share one contract, ``select(store)``, returning Proceed or
+Stop. ``reasoner.run`` owns the goal stop: it ends a goal-directed run as
+soon as the statement or its negation is in the store, before the next
+select.
 
 * exhaustive: fire every applicable rule until nothing new can be derived,
   scanning rules in theory order and bindings in canonical order. The goal
@@ -10,16 +12,15 @@ returning Proceed or Stop):
 * goal: restrict attention to a relevance cone computed once per statement
   by closing backward from the statement and its negation. Only rules whose
   conclusion can land inside the cone are considered, and only bindings
-  whose ground conclusion matches a cone pattern are fired. Selection stops
-  as soon as the goal or its negation is derived, or when the cone offers
-  nothing new.
+  whose ground conclusion the cone admits are fired. Selection stops when
+  the cone offers nothing new.
 
-Cone patterns are (predicate, polarity, subject) triples where a variable
-subject widens to a wildcard. Widening over-approximates relevance, which
-keeps the goal strategy complete: every derivation of the statement (or its
-negation) lies inside the cone, so both strategies always agree on the
-verdict; the goal trace is a subsequence of the exhaustive closure and never
-takes more one-hop steps.
+Cone entries are atoms. A rule's variable subject stays the variable, and a
+variable-subject atom admits that predicate and polarity about any subject.
+This over-approximates relevance, which keeps the goal strategy complete:
+every derivation of the statement (or its negation) lies inside the cone,
+so both strategies always agree on the verdict; the goal trace is a
+subsequence of the exhaustive closure and never takes more one-hop steps.
 
 Both strategies select from an ``Agenda``, one per store. It indexes the
 rules by premise predicate and polarity, and each select first reads the
@@ -31,7 +32,7 @@ conclusions stay stored, so the smallest entry not yet concluded is exactly
 what a rescan of all rules x entities would pick first, at a cost of about
 one grounding per closure fact instead of rules x entities per step.
 Passing ``shuffle_rng`` switches to a seeded random choice among all live
-entries (``candidates``); determinism then holds per seed.
+entries (``Agenda.live``); determinism then holds per seed.
 """
 from __future__ import annotations
 
@@ -47,83 +48,48 @@ from .reasoner import (
     applicable_bindings,
     compose,
 )
-from .theory import QUANT_NONE, Atom, Entity, IsAttr, Rule, Statement, Theory, Var
-
-WILDCARD = "*"
-
-
-def _entity_key(term: Entity | Var) -> str:
-    if isinstance(term, Var):
-        return WILDCARD
-    return f"{term.kind}:{term.surface}"
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """Shape of an atom: predicate, polarity, and subject (or wildcard)."""
-
-    kind: str  # "attr" | "rel"
-    token: str  # attribute, or verb for rel
-    obj_key: str | None
-    positive: bool
-    subject_key: str  # entity key or WILDCARD
-
-    def widened(self) -> Pattern:
-        return Pattern(self.kind, self.token, self.obj_key, self.positive, WILDCARD)
-
-
-def atom_pattern(atom: Atom) -> Pattern:
-    """The pattern of an atom; variable positions widen to wildcards."""
-    if isinstance(atom.pred, IsAttr):
-        return Pattern("attr", atom.pred.attr, None, atom.positive, _entity_key(atom.subject))
-    return Pattern(
-        "rel",
-        atom.pred.verb,
-        _entity_key(atom.pred.obj),
-        atom.positive,
-        _entity_key(atom.subject),
-    )
+from .theory import QUANT_NONE, X, Atom, Rule, Statement, Theory, Var
 
 
 @dataclass
 class RelevanceCone:
-    """Rules and atom patterns backward-reachable from a statement."""
+    """Rules and atoms backward-reachable from a statement. An atom with the
+    variable subject stands for that predicate and polarity about anyone."""
 
     rule_ids: frozenset[str]
-    patterns: frozenset[Pattern]
+    patterns: frozenset[Atom]
 
     def admits(self, atom: Atom) -> bool:
-        pattern = atom_pattern(atom)
-        return pattern in self.patterns or pattern.widened() in self.patterns
+        return atom in self.patterns or Atom(X, atom.pred, atom.positive) in self.patterns
 
 
 def relevance_cone(theory: Theory, statement: Statement) -> RelevanceCone:
     """Close backward from the statement and its negation.
 
     Seed with both polarities of the statement; whenever a rule's conclusion
-    unifies with a cone pattern, admit the rule and the patterns of its
-    premises. Rules are indexed by conclusion shape and a worklist hands
-    each new pattern to the rules of its shape, so the least fixpoint is
+    unifies with a cone atom (same predicate and polarity, and equal
+    subjects unless one is the variable), admit the rule and its premises.
+    Rules are indexed by conclusion predicate and polarity, and a worklist
+    hands each new atom to the rules of its key, so the least fixpoint is
     reached without rescanning every rule per pass.
     """
-    by_shape: dict[Pattern, list[tuple[Rule, str]]] = {}
+    by_key: dict[tuple, list[Rule]] = {}
     for rule in theory.rules:
-        concl = atom_pattern(rule.conclusion)
-        by_shape.setdefault(concl.widened(), []).append((rule, concl.subject_key))
-    work = [atom_pattern(statement.atom), atom_pattern(statement.atom.negated())]
-    patterns: set[Pattern] = set(work)
+        by_key.setdefault((rule.conclusion.pred, rule.conclusion.positive), []).append(rule)
+    work = [statement.atom, statement.atom.negated()]
+    patterns: set[Atom] = set(work)
     rule_ids: set[str] = set()
     while work:
-        pattern = work.pop()
-        for rule, subject_key in by_shape.get(pattern.widened(), ()):
-            keys = {subject_key, pattern.subject_key}
-            if rule.id in rule_ids or (len(keys) == 2 and WILDCARD not in keys):
+        atom = work.pop()
+        for rule in by_key.get((atom.pred, atom.positive), ()):
+            subjects = (rule.conclusion.subject, atom.subject)
+            if rule.id in rule_ids or (subjects[0] != subjects[1] and X not in subjects):
                 continue
             rule_ids.add(rule.id)
-            for new in map(atom_pattern, rule.premises):
-                if new not in patterns:
-                    patterns.add(new)
-                    work.append(new)
+            for premise in rule.premises:
+                if premise not in patterns:
+                    patterns.add(premise)
+                    work.append(premise)
     return RelevanceCone(frozenset(rule_ids), frozenset(patterns))
 
 
@@ -131,12 +97,12 @@ class Agenda:
     """The novel decisions of one store, smallest (rule index, entity rank)
     first. With a cone, only cone rules and in-cone conclusions count."""
 
-    def __init__(self, store: FactStore, theory: Theory, cone: RelevanceCone | None = None):
+    def __init__(self, store: FactStore, cone: RelevanceCone | None = None):
         self.store = store
         self.cone = cone
         self._rank = {e: i for i, e in enumerate(store.entity_order)}
         self._by_premise: dict[tuple, list[tuple[int, Rule, Atom]]] = {}
-        for i, rule in enumerate(theory.rules):
+        for i, rule in enumerate(store.theory.rules):
             if cone is None or rule.id in cone.rule_ids:
                 for p in rule.premises:
                     self._by_premise.setdefault((p.pred, p.positive), []).append((i, rule, p))
@@ -189,18 +155,6 @@ class Agenda:
         return [e[3] for e in self._heap]
 
 
-def candidates(
-    store: FactStore,
-    theory: Theory,
-    cone: RelevanceCone | None = None,
-) -> list[Proceed]:
-    """Every novel (rule, binding) decision, in canonical order: rules in
-    theory order, bindings in entity order. A decision is novel when its
-    conclusion is not yet in the store; with a cone, only cone rules and
-    in-cone conclusions count."""
-    return Agenda(store, theory, cone).live()
-
-
 class _AgendaSelection:
     """The first decision of the store's agenda, or a seeded random one."""
 
@@ -210,9 +164,9 @@ class _AgendaSelection:
         self.shuffle_rng = shuffle_rng
         self._agenda: Agenda | None = None
 
-    def _decide(self, store: FactStore, theory: Theory) -> Proceed | Stop:
+    def _decide(self, store: FactStore) -> Proceed | Stop:
         if self._agenda is None or self._agenda.store is not store:
-            self._agenda = Agenda(store, theory, self.cone)
+            self._agenda = Agenda(store, self.cone)
         if self.shuffle_rng is None:
             return self._agenda.first()
         pool = self._agenda.live()
@@ -225,8 +179,8 @@ class ExhaustiveStrategy(_AgendaSelection):
     name = "exhaustive"
     goal_directed = False
 
-    def select(self, store: FactStore, theory: Theory, statement: Statement | None = None):
-        return self._decide(store, theory)
+    def select(self, store: FactStore) -> Proceed | Stop:
+        return self._decide(store)
 
 
 class GoalDirectedStrategy(_AgendaSelection):
@@ -240,15 +194,9 @@ class GoalDirectedStrategy(_AgendaSelection):
     ):
         super().__init__(shuffle_rng)
         self.cone = relevance_cone(theory, statement)
-        self.statement = statement
 
-    def select(self, store: FactStore, theory: Theory, statement: Statement | None = None):
-        """Stop once the goal or its negation is in the store, else choose
-        among the novel in-cone decisions."""
-        stmt = statement or self.statement
-        if store.has_atom(stmt.atom) or store.has_atom(stmt.atom.negated()):
-            return STOP
-        return self._decide(store, theory)
+    def select(self, store: FactStore) -> Proceed | Stop:
+        return self._decide(store)
 
 
 STRATEGY_NAMES = ("exhaustive", "goal")

@@ -678,17 +678,16 @@ def parse_sentence(
     fragment. Given a ``vocab``, names, nouns and attributes must come from
     its pools, or UnknownTokenError is raised.
     """
-    head = _Parser(text, vocab).tokens[0].text
+    parser = _Parser(text, vocab)
+    head = parser.tokens[0].text
     if head == "If":
-        return _Parser(text, vocab).parse_if_rule(position)
+        return parser.parse_if_rule(position)
     if head == "All":
-        return _Parser(text, vocab).parse_all_rule(position)
-    for attempt in ("fact", "bare"):
-        p = _Parser(text, vocab)
+        return parser.parse_all_rule(position)
+    for template in (parser.parse_fact, parser.parse_bare_rule):
+        parser.pos = 0
         try:
-            if attempt == "fact":
-                return p.parse_fact(position)
-            return p.parse_bare_rule(position)
+            return template(position)
         except _NoCommit:
             continue
     raise ParseError("sentence matches no template", 0)

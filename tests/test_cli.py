@@ -443,6 +443,18 @@ MALFORMED_ROWS = {
         " (id 'x')",
         "unknown questions carry no proofs",
     ),
+    "bool_depth": (
+        '{"id":"x","sentences":{"sent1":"Bob is blue."},"questions":[{"id":"x-q1",'
+        '"text":"Bob is blue.","label":"true","depth":true,"proofs":["sent1 -> hypothesis"]}]}',
+        " (id 'x')",
+        "depth must be a non-negative integer",
+    ),
+    "int_depth_on_unknown": (
+        '{"id":"x","sentences":{"sent1":"Bob is blue."},"questions":[{"id":"x-q1",'
+        '"text":"Bob is red.","label":"unknown","depth":0,"proofs":[]}]}',
+        " (id 'x')",
+        "unknown questions have depth 'N/A'",
+    ),
 }
 
 
@@ -484,6 +496,21 @@ class TestMalformedRows:
         assert err.startswith(f"error: {bad}:3{rid}: ")
         assert why in err
 
+    def test_variant_with_fewer_questions_exits_1_with_location(self, dataset, tmp_path, capsys):
+        eq = tmp_path / "eq.jsonl"
+        assert run_cli(
+            capsys, "perturb", "--data", str(dataset), "--out", str(eq),
+            "--mode", "subject", "--variants", "2",
+        )[0] == 0
+        rows = [json.loads(line) for line in eq.read_text(encoding="utf-8").splitlines()]
+        assert len(rows[1]["questions"]) > 1
+        rows[1]["questions"] = rows[1]["questions"][:1]
+        eq.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        code, _, err = run_cli(capsys, "eval", "--data", str(dataset), "--equivalence", str(eq))
+        assert code == 1
+        assert err.startswith(f"error: {eq}:2 (id {rows[1]['id']!r}): ")
+        assert "questions, but base" in err
+        assert "Traceback" not in err
 
     def test_corrupt_gold_proof_exits_1_with_location(self, dataset, tmp_path, capsys):
         row = json.loads(dataset.read_text(encoding="utf-8").splitlines()[1])

@@ -21,18 +21,18 @@ from rulechain.reasoner import (
     substitute,
 )
 from rulechain.strategies import (
+    Agenda,
     ExhaustiveStrategy,
     GoalDirectedStrategy,
     RelevanceCone,
     STRATEGY_NAMES,
-    atom_pattern,
-    candidates,
     make_strategy,
     relevance_cone,
 )
 from rulechain.theory import (
     QUANT_PEOPLE,
     QUANT_THINGS,
+    Var,
     parse_statement,
     parse_theory,
     render,
@@ -53,7 +53,7 @@ def small_instances(seed):
 def test_exhaustive_picks_first_novel_rule(chain2):
     strategy = ExhaustiveStrategy()
     store = FactStore(chain2)
-    decision = strategy.select(store, chain2)
+    decision = strategy.select(store)
     assert isinstance(decision, Proceed)
     assert decision.rule_id == "sent2"
 
@@ -65,7 +65,7 @@ def test_exhaustive_stops_at_fixpoint(chain2):
     store = FactStore(chain2)
     for s in trace.steps:
         store.add_derived(s.conclusion.atom, s.index)
-    assert isinstance(ExhaustiveStrategy().select(store, chain2), type(STOP))
+    assert isinstance(ExhaustiveStrategy().select(store), type(STOP))
 
 
 def test_exhaustive_ignores_the_goal(chain2):
@@ -189,7 +189,7 @@ def test_make_strategy_names():
 
 def test_atom_pattern_matches_itself(chain2):
     atom = parse_statement("Bob is blue.").atom
-    cone = RelevanceCone(frozenset(), frozenset({atom_pattern(atom)}))
+    cone = RelevanceCone(frozenset(), frozenset({atom}))
     assert cone.admits(atom)
     assert not cone.admits(atom.negated())
     assert not cone.admits(parse_statement("Anne is blue.").atom)
@@ -216,16 +216,16 @@ def test_goal_never_needs_more_compositions_than_exhaustive(seed):
 def walk_one_enumeration(theory, statement, plain, shuffled, cone):
     """Drive the shuffled strategy by hand. At every step the plain
     strategy's decision must be the first candidate and the shuffled one
-    must be among the candidates; with a cone, both stop at the goal."""
+    must be among the candidates; with a cone, the walk ends at the goal,
+    as ``run`` ends a goal-directed run there."""
     goal, anti_goal = statement.atom, statement.atom.negated()
     store = FactStore(theory)
     while True:
-        pool = list(candidates(store, theory, cone))
-        first = plain.select(store, theory, statement)
-        choice = shuffled.select(store, theory, statement)
         if cone is not None and (store.has_atom(goal) or store.has_atom(anti_goal)):
-            assert first == STOP and choice == STOP
             return
+        pool = Agenda(store, cone).live()
+        first = plain.select(store)
+        choice = shuffled.select(store)
         if not pool:
             assert first == STOP and choice == STOP
             return
@@ -320,52 +320,53 @@ def reference_candidates(store, theory, cone=None):
             conclusion = substitute(rule.conclusion, entity)
             if store.has_atom(conclusion):
                 continue
-            if cone is not None and not any(matches(p, conclusion) for p in cone.patterns):
+            if cone is not None and not any(matches(a, conclusion) for a in cone.patterns):
                 continue
             out.append(Proceed(rule.id, Binding(entity, tuple(f.id for f in premises))))
     return out
 
 
-def matches(pattern, atom):
-    """Does the pattern match the ground atom, field by field?"""
-    concl = atom_pattern(atom)
-    return (pattern.kind, pattern.token, pattern.obj_key, pattern.positive) == (
-        concl.kind, concl.token, concl.obj_key, concl.positive
-    ) and pattern.subject_key in ("*", concl.subject_key)
+def matches(cone_atom, atom):
+    """Does the cone atom match the ground atom, field by field? A variable
+    subject matches any subject."""
+    return (
+        cone_atom.pred == atom.pred
+        and cone_atom.positive == atom.positive
+        and (isinstance(cone_atom.subject, Var) or cone_atom.subject == atom.subject)
+    )
 
 
 def reference_cone(theory, statement):
-    """The cone by rescanning every rule against every pattern to fixpoint."""
+    """The cone by rescanning every rule against every cone atom to fixpoint."""
 
-    def can_land(conclusion, pattern):
-        concl = atom_pattern(conclusion)
-        if (concl.kind, concl.token, concl.obj_key, concl.positive) != (
-            pattern.kind, pattern.token, pattern.obj_key, pattern.positive
-        ):
+    def can_land(conclusion, atom):
+        if (conclusion.pred, conclusion.positive) != (atom.pred, atom.positive):
             return False
-        keys = (concl.subject_key, pattern.subject_key)
-        return "*" in keys or keys[0] == keys[1]
+        subjects = (conclusion.subject, atom.subject)
+        return any(isinstance(s, Var) for s in subjects) or subjects[0] == subjects[1]
 
-    patterns = {atom_pattern(statement.atom), atom_pattern(statement.atom.negated())}
+    atoms = {statement.atom, statement.atom.negated()}
     rule_ids = set()
     changed = True
     while changed:
         changed = False
         for rule in theory.rules:
-            if rule.id in rule_ids or not any(can_land(rule.conclusion, p) for p in patterns):
+            if rule.id in rule_ids or not any(can_land(rule.conclusion, a) for a in atoms):
                 continue
             rule_ids.add(rule.id)
-            patterns.update(atom_pattern(p) for p in rule.premises)
+            atoms.update(rule.premises)
             changed = True
-    return rule_ids, patterns
+    return rule_ids, atoms
 
 
 def walk_against_the_rescan(lines, statement_text, schedule, shuffle_seed):
     """Drive four strategies over one store: exhaustive and goal, each
     deterministic and shuffled. At every step each one's decision must be
-    what the rescan prescribes, and ``candidates`` must equal the rescan.
-    The schedule picks whose decision grows the store, so each agenda also
-    catches up on facts another strategy chose."""
+    what the rescan prescribes, and each agenda's live decisions must equal
+    the rescan. Once the goal or its negation is stored the goal strategies
+    are not asked again, as ``run`` stops them there. The schedule picks
+    whose decision grows the store, so each agenda also catches up on facts
+    another strategy chose."""
     theory = parse_theory(lines)
     statement = parse_statement(statement_text)
     cone = relevance_cone(theory, statement)
@@ -389,13 +390,15 @@ def walk_against_the_rescan(lines, statement_text, schedule, shuffle_seed):
     store = FactStore(theory)
     for turn in range(1000):
         pools = [reference_candidates(store, theory), reference_candidates(store, theory, cone)]
-        assert candidates(store, theory) == pools[False]
-        assert candidates(store, theory, cone) == pools[True]
+        assert Agenda(store).live() == pools[False]
+        assert Agenda(store, cone).live() == pools[True]
         decisions = []
         for strategy, mirror, in_cone in strategies:
-            pool = [] if in_cone and goal_reached(store) else pools[in_cone]
+            if in_cone and goal_reached(store):
+                continue
+            pool = pools[in_cone]
             want = STOP if not pool else pool[0] if mirror is None else mirror.choice(pool)
-            assert strategy.select(store, theory, statement) == want
+            assert strategy.select(store) == want
             decisions.append(want)
         live = [d for d in decisions if d != STOP]
         if not live:
@@ -403,10 +406,10 @@ def walk_against_the_rescan(lines, statement_text, schedule, shuffle_seed):
             # handed a new store, a strategy starts over from its given facts
             fresh = FactStore(theory)
             for strategy, _, in_cone in strategies[::2]:
-                pool = reference_candidates(fresh, theory, cone if in_cone else None)
                 if in_cone and goal_reached(fresh):
-                    pool = []
-                assert strategy.select(fresh, theory, statement) == (pool[0] if pool else STOP)
+                    continue
+                pool = reference_candidates(fresh, theory, cone if in_cone else None)
+                assert strategy.select(fresh) == (pool[0] if pool else STOP)
             return turn
         step(store, live[schedule[turn % len(schedule)] % len(live)])
     raise AssertionError("the closure of a small theory has fewer than 1000 facts")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rulechain.theory as theory_module
 from rulechain import vocab
 from rulechain.theory import (
     Atom,
@@ -229,6 +230,29 @@ def test_theory_ids_number_kept_lines():
     theory = parse_theory(["Bob is blue.", "", "Anne is kind."])
     assert [sid for sid, _ in theory.sentences()] == ["sent1", "sent2"]
     assert [text for _, text in theory.sentences()] == ["Bob is blue.", "Anne is kind."]
+
+
+def test_each_sentence_is_tokenized_once(monkeypatch):
+    """One tokenization per kept line, whichever template matches: a failed
+    fact attempt rewinds the same token list for the bare-rule template."""
+    lines = [
+        "Bob is blue.",
+        "",
+        "If someone is blue then they are kind.",
+        "All kind people are big.",
+        "Big people are red.",
+    ]
+    texts = []
+    original = theory_module._tokenize
+
+    def counting(text):
+        texts.append(text)
+        return original(text)
+
+    monkeypatch.setattr(theory_module, "_tokenize", counting)
+    theory = parse_theory(lines)
+    assert len(theory.facts) == 1 and len(theory.rules) == 3
+    assert texts == [line for line in lines if line]
 
 
 # ---------------------------------------------------------------------------
