@@ -9,8 +9,9 @@ parallel depth-4 chains, and one theory of two stacked 10-way diamonds
 selection has real choice, is also run with a shuffle seed. It also holds
 the labelled dataset of each input, gold proofs included, and of a
 10-layer diamond ladder whose 1,024 proofs pass the enumeration's hard
-limit. Any change in gold labelling, in what the engine selects, in proof
-stitching or in scoring shows here as a diff.
+limit, and both strategies' per-question scores on that ladder, whose gold
+sets share most of their steps. Any change in gold labelling, in what the
+engine selects, in proof stitching or in scoring shows here as a diff.
 
 After a change that is meant to alter these outputs, rewrite the files
 with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -25,6 +26,13 @@ from pathlib import Path
 import pytest
 
 from rulechain.cli import main
+from rulechain.evalkit import (
+    index_predictions,
+    inference_pr,
+    label_correct,
+    predict_instances,
+    proof_correct,
+)
 from rulechain.datagen import (
     Instance,
     Question,
@@ -33,7 +41,7 @@ from rulechain.datagen import (
     instance_from_json,
     instance_to_json,
 )
-from rulechain.jsonlio import read_jsonl, write_jsonl
+from rulechain.jsonlio import read_jsonl, write_json, write_jsonl
 from rulechain.reasoner import run
 from rulechain.strategies import STRATEGY_NAMES, make_strategy
 from rulechain.theory import parse_statement, parse_theory, render
@@ -113,6 +121,7 @@ def ladder_statements(top: str) -> list[str]:
 
 RUNS = [(name, strategy, None) for name in INPUTS for strategy in STRATEGY_NAMES]
 RUNS += [("diamond", strategy, SHUFFLE_SEED) for strategy in STRATEGY_NAMES]
+LADDER_REPORTS = [f"ladder.{strategy}.report.json" for strategy in STRATEGY_NAMES]
 
 
 def _stem(name: str, strategy: str, shuffle_seed: int | None) -> str:
@@ -129,6 +138,7 @@ def _kinds(shuffle_seed: int | None) -> tuple[str, ...]:
 GOLDEN_NAMES = sorted(
     [f"{_stem(*r)}.{kind}" for r in RUNS for kind in _kinds(r[2])]
     + [f"{name}.dataset.jsonl" for name in DATASETS]
+    + LADDER_REPORTS
 )
 
 
@@ -161,6 +171,28 @@ def trace_rows(data: Path, strategy: str, shuffle_seed: int | None) -> list[dict
     return rows
 
 
+def ladder_report(data: Path, strategy: str) -> dict:
+    """What ``build_report`` scores for each question, one row per question:
+    its depth rows stop at 5, and the ladder's questions lie deeper."""
+    instances = [instance_from_json(row) for row in read_jsonl(data)]
+    by_id = index_predictions(predict_instances(instances, strategy))
+    rows = []
+    for inst in instances:
+        for q in inst.questions:
+            p = by_id[q.id]
+            precision, recall = inference_pr(inst, q, p)
+            rows.append({
+                "id": q.id,
+                "depth": q.annotation.depth,
+                "entailment_correct": label_correct(q, p),
+                "proof_correct": proof_correct(inst, q, p),
+                "precision": precision,
+                "recall": recall,
+                "composer_calls": p.composer_calls,
+            })
+    return {"strategy": strategy, "rows": rows}
+
+
 def golden_outputs(workdir: Path) -> dict[str, str]:
     """File name -> contents of every golden output, computed afresh."""
     data = {name: workdir / f"{name}.jsonl" for name in DATASETS}
@@ -186,6 +218,9 @@ def golden_outputs(workdir: Path) -> dict[str, str]:
         )
         for kind in _kinds(shuffle_seed):
             out[f"{stem}.{kind}"] = (workdir / f"{stem}.{kind}").read_text(encoding="utf-8")
+    for name, strategy in zip(LADDER_REPORTS, STRATEGY_NAMES):
+        write_json(workdir / name, ladder_report(data["ladder"], strategy))
+        out[name] = (workdir / name).read_text(encoding="utf-8")
     return out
 
 
