@@ -736,67 +736,6 @@ def generate_dataset(config: GenConfig) -> list[Instance]:
     return instances
 
 
-def irrelevant_sentences(
-    theory: Theory, rng: random.Random, n_facts: int = 1, n_rules: int = 1
-) -> list[str]:
-    """Sentences over tokens foreign to the theory: isolated facts and
-    rules whose premises no fact can ever satisfy. Adding them must never
-    change any verdict about the original theory."""
-    used_attrs: set[str] = set()
-    used_subjects: set[str] = set()
-
-    def note_atom(a: Atom) -> None:
-        if isinstance(a.pred, IsAttr):
-            used_attrs.add(a.pred.attr)
-        if isinstance(a.subject, Entity):
-            used_subjects.add(a.subject.surface)
-        if isinstance(a.pred, Rel):
-            used_subjects.add(a.pred.obj.surface)
-
-    for f in theory.facts:
-        note_atom(f.atom)
-    for r in theory.rules:
-        for p in r.premises:
-            note_atom(p)
-        note_atom(r.conclusion)
-
-    fresh_attrs = [
-        a
-        for a in vocab.GEN_ATTRIBUTES + vocab.REPLACEMENT_ATTRIBUTES
-        if a not in used_attrs
-    ]
-    fresh_names = [
-        n for n in vocab.GEN_PROPER_NAMES + vocab.REPLACEMENT_PROPER_NAMES
-        if n not in used_subjects
-    ]
-    rng.shuffle(fresh_attrs)
-    rng.shuffle(fresh_names)
-    lines: list[str] = []
-    for _ in range(n_facts):
-        if not fresh_attrs or not fresh_names:
-            break
-        atom = Atom(Entity(PROPER, fresh_names.pop()), IsAttr(fresh_attrs.pop()), True)
-        lines.append(render(atom))
-    for _ in range(n_rules):
-        if len(fresh_attrs) < 2:
-            break
-        rule = Rule(
-            "sent1",
-            (Atom(X, IsAttr(fresh_attrs.pop()), True),),
-            Atom(X, IsAttr(fresh_attrs.pop()), True),
-            QUANT_THINGS,
-            RuleStyle(FORM_IF, (False,)),
-        )
-        lines.append(render(rule))
-    return lines
-
-
-def extend_theory(theory: Theory, extra_lines: list[str]) -> Theory:
-    """A new theory with ``extra_lines`` appended; existing ids unchanged."""
-    lines = [text for _, text in theory.sentences()] + list(extra_lines)
-    return parse_theory(lines, theory.id)
-
-
 # ---------------------------------------------------------------------------
 # Perturbation
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
+from . import SCHEMA_VERSIONS
 from .datagen import DEPTH_NA, GoldProofError, Instance, Question, RenamingMap
 from .reasoner import (
     LABEL_TRUE,
@@ -56,13 +57,12 @@ from .reasoner import (
     InferenceTrace,
     ProofCheckError,
     check_proof,
+    check_proofs,
     run,
     solve,
 )
 from .strategies import make_strategy
-from .theory import render
-
-REPORT_SCHEMA_VERSION = 1
+from .theory import Atom, render
 
 DEPTH_BUCKETS = (0, 1, 2, 3, 4, 5, DEPTH_NA)
 
@@ -260,16 +260,18 @@ def proof_correct(instance: Instance, question: Question, prediction: Prediction
 
 
 def _gold_conclusion_sets(instance: Instance, question: Question) -> list[set[str]]:
-    """One set of conclusion texts per gold proof (final step included)."""
+    """One set of conclusion texts per gold proof (final step included),
+    with the whole gold set checked in one call."""
     ann = question.annotation
-    sets = []
-    for proof in ann.proofs:
-        try:
-            steps = check_proof(instance.theory, question.statement, ann.label, proof)
-        except ProofCheckError as e:
-            raise GoldProofError(instance, question.id, str(e)) from None
-        sets.append({render(conclusion) for _, _, conclusion in steps})
-    return sets
+    try:
+        proofs = check_proofs(instance.theory, question.statement, ann.label, ann.proofs)
+    except ProofCheckError as e:
+        raise GoldProofError(instance, question.id, str(e)) from None
+    texts: dict[Atom, str] = {}  # each distinct conclusion is rendered once
+    return [
+        {texts.get(c) or texts.setdefault(c, render(c)) for _, _, c in steps}
+        for steps in proofs
+    ]
 
 
 def inference_pr(
@@ -453,7 +455,7 @@ class MetricsReport:
     consistency: dict | None = None
     efficiency: float | None = None
     budget_curve: dict | None = None  # budget (as str) -> accuracy
-    schema_version: int = REPORT_SCHEMA_VERSION
+    schema_version: int = SCHEMA_VERSIONS["report"]
 
     def row(self, depth) -> dict:
         for r in self.rows:

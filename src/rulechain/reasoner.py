@@ -20,14 +20,16 @@ int1..intK along a canonical topological order that depends only on the
 proof's shape, so equal proofs serialize identically no matter which
 strategy found them. A statement that is itself a given fact has the
 degenerate proof "sentK -> hypothesis". ``canonical_proof_string`` is the
-only writer of this form and ``check_proof`` its only reader.
+only writer of this form and ``check_proofs`` its only reader, which checks
+a question's whole gold set in one call; ``check_proof`` checks one proof
+through it.
 """
 from __future__ import annotations
 
 import functools
 import re
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .theory import (
@@ -392,31 +394,72 @@ def stitch_proof(trace: InferenceTrace, target: Fact) -> str:
     return canonical_proof_string(collect(target.id), given_ids, derivations)
 
 
+_GIVEN_PROOF_RE = re.compile(r"(sent\d+) -> hypothesis")
+_STEP_RE = re.compile(
+    r"\((sent\d+) & ((?:sent\d+|int\d+)(?: (?:sent\d+|int\d+))*)\) -> (int\d+|hypothesis)"
+)
+
+
 def check_proof(
     theory: Theory,
     statement: Statement,
     label: str,
     canonical_form: str,
 ) -> list[tuple[str, list[Atom], Atom]]:
-    """Validate a canonical proof string against a theory and statement.
+    """The steps of one canonical proof string; see ``check_proofs``."""
+    return check_proofs(theory, statement, label, (canonical_form,))[0]
 
-    This is the one reader of the canonical form. It returns the proof's
-    steps in serialized order as (rule id, premise atoms, conclusion atom),
-    with the premises in the string's canonical fact-id order; a degenerate
-    given-fact proof has no steps. Raises ProofCheckError for anything
-    malformed or unsound. ``label`` says what the proof claims: "true"
-    (proves the statement) or "false" (proves its negation).
+
+def check_proofs(
+    theory: Theory,
+    statement: Statement,
+    label: str,
+    forms: Sequence[str],
+) -> list[list[tuple[str, list[Atom], Atom]]]:
+    """Validate canonical proof strings against a theory and statement.
+
+    This is the one reader of the canonical form. For each proof it returns
+    the steps in serialized order as (rule id, premise atoms, conclusion
+    atom), with the premises in the string's canonical fact-id order; a
+    degenerate given-fact proof has no steps. Raises ProofCheckError for
+    the first proof that is malformed or unsound. ``label`` says what the
+    proofs claim: "true" (proves the statement) or "false" (proves its
+    negation).
+
+    Proofs of one statement share most of their steps, so with several
+    proofs each distinct step is matched against its rule once: a step is
+    keyed by its rule id and its premises, a given fact by its sentence id
+    and an intermediate by the number of its conclusion atom, which counts
+    the distinct conclusions derived so far in the call. Every segment of
+    every proof still gets all of its own checks, so the result and the
+    first error are those of separate ``check_proof`` calls.
     """
+    if not forms:
+        return []
     if label == LABEL_TRUE:
         goal = statement.atom
     elif label == LABEL_FALSE:
         goal = statement.atom.negated()
     else:
         raise ProofCheckError("only true/false verdicts carry proofs")
-
     facts_by_id = {f.id: f for f in theory.facts}
+    # (rule id, premise keys) -> (premise atoms, conclusion, its number)
+    matches: dict | None = {} if len(forms) > 1 else None
+    numbers: dict[Atom, int] = {}
+    return [
+        _check_form(theory, goal, facts_by_id, form, matches, numbers) for form in forms
+    ]
 
-    single = re.fullmatch(r"(sent\d+) -> hypothesis", canonical_form)
+
+def _check_form(
+    theory: Theory,
+    goal: Atom,
+    facts_by_id: dict[str, Fact],
+    canonical_form: str,
+    matches: dict | None,
+    numbers: dict[Atom, int],
+) -> list[tuple[str, list[Atom], Atom]]:
+    single = _GIVEN_PROOF_RE.fullmatch(canonical_form)
     if single:
         fid = single.group(1)
         fact = facts_by_id.get(fid)
@@ -426,38 +469,51 @@ def check_proof(
             raise ProofCheckError("given fact does not match the hypothesis")
         return []
 
-    step_re = re.compile(
-        r"\((sent\d+) & ((?:sent\d+|int\d+)(?: (?:sent\d+|int\d+))*)\) -> (int\d+|hypothesis)"
-    )
     segments = canonical_form.split(" ; ")
     bound: dict[str, Atom] = {}
+    bound_numbers: dict[str, int] = {}  # intN -> its atom's number, when shared
     used: set[str] = set()
     steps: list[tuple[str, list[Atom], Atom]] = []
     for i, seg in enumerate(segments):
-        m = step_re.fullmatch(seg)
+        m = _STEP_RE.fullmatch(seg)
         if not m:
             raise ProofCheckError(f"malformed step {seg!r}")
         rule_id, fact_part, target_id = m.groups()
-        try:
-            rule = theory.rule_by_id(rule_id)
-        except KeyError:
-            raise ProofCheckError(f"{rule_id} is not a rule")
         fact_ids = fact_part.split(" ")
+        hit = None
+        if matches is not None:
+            # an unbound intermediate keeps its id, which no stored key holds
+            key = (rule_id, *[bound_numbers.get(f, f) for f in fact_ids])
+            hit = matches.get(key)
+        if hit is None:
+            try:
+                rule = theory.rule_by_id(rule_id)
+            except KeyError:
+                raise ProofCheckError(f"{rule_id} is not a rule")
         if fact_ids != sorted(fact_ids, key=_id_sort_key):
             raise ProofCheckError(f"fact ids out of canonical order in {seg!r}")
-        premise_atoms: list[Atom] = []
-        for fid in fact_ids:
-            if fid.startswith("sent"):
-                fact = facts_by_id.get(fid)
-                if fact is None:
-                    raise ProofCheckError(f"{fid} is not a given fact")
-                premise_atoms.append(fact.atom)
-            else:
-                if fid not in bound:
-                    raise ProofCheckError(f"{fid} used before it is derived")
-                premise_atoms.append(bound[fid])
-                used.add(fid)
-        conclusion = _match_rule(rule, premise_atoms)
+        if hit is None:
+            premise_atoms: list[Atom] = []
+            for fid in fact_ids:
+                if fid.startswith("sent"):
+                    fact = facts_by_id.get(fid)
+                    if fact is None:
+                        raise ProofCheckError(f"{fid} is not a given fact")
+                    premise_atoms.append(fact.atom)
+                else:
+                    if fid not in bound:
+                        raise ProofCheckError(f"{fid} used before it is derived")
+                    premise_atoms.append(bound[fid])
+                    used.add(fid)
+            conclusion = _match_rule(rule, premise_atoms)
+            if matches is not None:
+                number = numbers.setdefault(conclusion, len(numbers))
+                matches[key] = premise_atoms, conclusion, number
+        else:
+            # a stored key names a rule, given facts and bound intermediates
+            premise_atoms, conclusion, number = hit
+            premise_atoms = list(premise_atoms)
+            used.update(fact_ids)
         last = i == len(segments) - 1
         if target_id == "hypothesis":
             if not last:
@@ -473,6 +529,8 @@ def check_proof(
                     f"intermediates must be numbered in order: got {target_id}, want {expected}"
                 )
             bound[target_id] = conclusion
+            if matches is not None:
+                bound_numbers[target_id] = number
         steps.append((rule_id, premise_atoms, conclusion))
     dangling = set(bound) - used
     if dangling:

@@ -14,6 +14,8 @@ from rulechain import evalkit as ek
 from rulechain.reasoner import LABEL_TRUE, LABEL_UNKNOWN, check_proof
 from rulechain.theory import parse_sentence, render
 
+from grammar_theories import extend_theory, irrelevant_sentences
+
 BUDGETS = (1, 3, 5, 7, 10)
 
 
@@ -194,8 +196,8 @@ def test_criterion_7_structural_properties_hold_at_scale(mixed_dataset):
     mono_ok = True
     pool = [(inst, q) for inst in mixed_dataset for q in inst.questions]
     for inst, q in rng.sample(pool, 500):
-        extra = dg.irrelevant_sentences(inst.theory, rng, n_facts=2, n_rules=1)
-        grown = dg.extend_theory(inst.theory, extra)
+        extra = irrelevant_sentences(inst.theory, rng, n_facts=2, n_rules=1)
+        grown = extend_theory(inst.theory, extra)
         mono_ok = mono_ok and (
             dg.assign_gold(grown, q.statement).label == q.annotation.label
         )

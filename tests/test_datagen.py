@@ -22,13 +22,11 @@ from rulechain.datagen import (
     emit_training_records,
     equivalence_from_row,
     equivalence_to_rows,
-    extend_theory,
     generate_dataset,
     generate_instance,
     gold_closure,
     instance_from_json,
     instance_to_json,
-    irrelevant_sentences,
     perturb,
     seed_substream,
 )
@@ -46,6 +44,7 @@ from rulechain.theory import (
 )
 
 from conftest import diamond_ladder_lines
+from grammar_theories import extend_theory, irrelevant_sentences
 
 
 # ---------------------------------------------------------------------------

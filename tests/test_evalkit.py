@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rulechain import SCHEMA_VERSIONS
 from rulechain import datagen as dg
 from rulechain import evalkit as ek
 from rulechain.reasoner import run, solve
@@ -365,7 +366,7 @@ class TestReport:
         report.efficiency = 0.25
         report.budget_curve = {"1": 0.5, "3": 1.0}
         blob = report.to_json()
-        assert blob["schema_version"] == ek.REPORT_SCHEMA_VERSION
+        assert blob["schema_version"] == SCHEMA_VERSIONS["report"]
         assert ek.MetricsReport(**blob) == report
 
     def test_render_text_shape(self):
