@@ -490,7 +490,7 @@ def _check_form(
                 rule = theory.rule_by_id(rule_id)
             except KeyError:
                 raise ProofCheckError(f"{rule_id} is not a rule")
-        if fact_ids != sorted(fact_ids, key=_id_sort_key):
+        if len(fact_ids) > 1 and fact_ids != sorted(fact_ids, key=_id_sort_key):
             raise ProofCheckError(f"fact ids out of canonical order in {seg!r}")
         if hit is None:
             premise_atoms: list[Atom] = []
