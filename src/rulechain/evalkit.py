@@ -62,7 +62,7 @@ from .reasoner import (
     solve,
 )
 from .strategies import make_strategy
-from .theory import Atom, render
+from .theory import render
 
 DEPTH_BUCKETS = (0, 1, 2, 3, 4, 5, DEPTH_NA)
 
@@ -267,9 +267,10 @@ def _gold_conclusion_sets(instance: Instance, question: Question) -> list[set[st
         proofs = check_proofs(instance.theory, question.statement, ann.label, ann.proofs)
     except ProofCheckError as e:
         raise GoldProofError(instance, question.id, str(e)) from None
-    texts: dict[Atom, str] = {}  # each distinct conclusion is rendered once
+    # equal conclusions are one object, alive in ``proofs``: render each once
+    texts: dict[int, str] = {}
     return [
-        {texts.get(c) or texts.setdefault(c, render(c)) for _, _, c in steps}
+        {texts.get(id(c)) or texts.setdefault(id(c), render(c)) for _, _, c in steps}
         for steps in proofs
     ]
 

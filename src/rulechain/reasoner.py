@@ -430,9 +430,10 @@ def check_proofs(
     proofs each distinct step is matched against its rule once: a step is
     keyed by its rule id and its premises, a given fact by its sentence id
     and an intermediate by the number of its conclusion atom, which counts
-    the distinct conclusions derived so far in the call. Every segment of
-    every proof still gets all of its own checks, so the result and the
-    first error are those of separate ``check_proof`` calls.
+    the distinct conclusions derived so far in the call; equal conclusions
+    come back as one object. Every segment of every proof still gets all of
+    its own checks, so the result and the first error are those of
+    separate ``check_proof`` calls.
     """
     if not forms:
         return []
@@ -445,10 +446,8 @@ def check_proofs(
     facts_by_id = {f.id: f for f in theory.facts}
     # (rule id, premise keys) -> (premise atoms, conclusion, its number)
     matches: dict | None = {} if len(forms) > 1 else None
-    numbers: dict[Atom, int] = {}
-    return [
-        _check_form(theory, goal, facts_by_id, form, matches, numbers) for form in forms
-    ]
+    numbered: dict[Atom, tuple[int, Atom]] = {}
+    return [_check_form(theory, goal, facts_by_id, f, matches, numbered) for f in forms]
 
 
 def _check_form(
@@ -457,7 +456,7 @@ def _check_form(
     facts_by_id: dict[str, Fact],
     canonical_form: str,
     matches: dict | None,
-    numbers: dict[Atom, int],
+    numbered: dict[Atom, tuple[int, Atom]],
 ) -> list[tuple[str, list[Atom], Atom]]:
     single = _GIVEN_PROOF_RE.fullmatch(canonical_form)
     if single:
@@ -507,7 +506,8 @@ def _check_form(
                     used.add(fid)
             conclusion = _match_rule(rule, premise_atoms)
             if matches is not None:
-                number = numbers.setdefault(conclusion, len(numbers))
+                entry = len(numbered), conclusion
+                number, conclusion = numbered.setdefault(conclusion, entry)
                 matches[key] = premise_atoms, conclusion, number
         else:
             # a stored key names a rule, given facts and bound intermediates
