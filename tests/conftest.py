@@ -28,6 +28,38 @@ DIAMOND_LINES = [
     "If someone is nice then they are smart.",
 ]
 
+# Two one-premise rules from one fact feed a two-premise rule: a valid proof
+# of "Bob is smart.", and proofs with one fault each whose steps all repeat
+# steps of SHARED_PROOF, so a gold-set check that shares work between proofs
+# must still find the fault.
+SHARED_LINES = [
+    "Bob is red.",
+    "If someone is red then they are big.",
+    "If someone is red then they are kind.",
+    "If someone is big and kind then they are smart.",
+]
+SHARED_STATEMENT = "Bob is smart."
+SHARED_PROOF = (
+    "(sent2 & sent1) -> int1 ; (sent3 & sent1) -> int2 ; (sent4 & int1 int2) -> hypothesis"
+)
+FAULTY_AFTER_SHARED = {
+    # the premises of the last step are SHARED_PROOF's, named int2 int1
+    "fact_ids_out_of_order": (
+        "(sent3 & sent1) -> int1 ; (sent2 & sent1) -> int2 ; (sent4 & int2 int1) -> hypothesis"
+    ),
+    "wrong_intermediate_number": (
+        "(sent2 & sent1) -> int2 ; (sent3 & sent1) -> int3 ; (sent4 & int2 int3) -> hypothesis"
+    ),
+    "dangling_intermediate": (
+        "(sent2 & sent1) -> int1 ; (sent2 & sent1) -> int2 ; (sent3 & sent1) -> int3 ; "
+        "(sent4 & int1 int3) -> hypothesis"
+    ),
+    "hypothesis_not_last": SHARED_PROOF + " ; (sent2 & sent1) -> int3",
+    "last_step_not_the_hypothesis": SHARED_PROOF.replace("hypothesis", "int3"),
+    "wrong_final_conclusion": "(sent2 & sent1) -> hypothesis",
+    "intermediate_used_before_derived": "(sent4 & int1 int2) -> hypothesis",
+}
+
 
 def diamond_ladder_lines(layers=7):
     """Bob is a0; a_i -> b_i, a_i -> c_i, b_i -> a_i+1, c_i -> a_i+1.

@@ -15,8 +15,16 @@ from rulechain import cli
 from rulechain import datagen as dg
 from rulechain.cli import main
 from rulechain.jsonlio import read_jsonl
+from rulechain.reasoner import LABEL_TRUE, ProofCheckError, check_proof
+from rulechain.theory import parse_statement, parse_theory
 
-from conftest import CHAIN2_LINES
+from conftest import (
+    CHAIN2_LINES,
+    FAULTY_AFTER_SHARED,
+    SHARED_LINES,
+    SHARED_PROOF,
+    SHARED_STATEMENT,
+)
 
 CHAIN2_PROOF = "(sent2 & sent1) -> int1 ; (sent3 & int1) -> hypothesis"
 
@@ -523,6 +531,30 @@ class TestMalformedRows:
         assert code == 1
         assert err.startswith(f"error: {bad}:3 (id {question['id']!r}): ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(FAULTY_AFTER_SHARED))
+    def test_a_fault_after_a_valid_gold_proof_exits_1_with_location(
+        self, dataset, tmp_path, capsys, case
+    ):
+        faulty = FAULTY_AFTER_SHARED[case]
+        with pytest.raises(ProofCheckError) as alone:
+            check_proof(
+                parse_theory(SHARED_LINES), parse_statement(SHARED_STATEMENT), LABEL_TRUE, faulty
+            )
+        row = {
+            "id": "s1",
+            "sentences": {f"sent{i}": text for i, text in enumerate(SHARED_LINES, start=1)},
+            "questions": [
+                {"id": "s1-q1", "text": SHARED_STATEMENT, "label": "true", "depth": 2,
+                 "proofs": [SHARED_PROOF, faulty]},
+            ],
+        }
+        bad = with_bad_row(dataset, tmp_path, json.dumps(row))
+        code, _, err = run_cli(
+            capsys, "eval", "--data", str(bad), "--report", str(tmp_path / "r.json")
+        )
+        assert code == 1
+        assert err == f"error: {bad}:3 (id 's1-q1'): {alone.value}\n"
 
     def test_emit_training_locates_a_corrupt_first_proof(self, dataset, tmp_path, capsys):
         row = json.loads(dataset.read_text(encoding="utf-8").splitlines()[1])

@@ -1,6 +1,13 @@
 """Fact store, one-hop steps, the run loop, verdicts, canonical proofs."""
+import re
+from pathlib import Path
+
 import pytest
 
+from rulechain import reasoner
+from rulechain.datagen import instance_from_json
+from rulechain.evalkit import inference_pr, predict_instance
+from rulechain.jsonlio import read_jsonl
 from rulechain.reasoner import (
     Binding,
     DuplicateConclusionError,
@@ -16,6 +23,7 @@ from rulechain.reasoner import (
     StaleDecisionError,
     applicable_bindings,
     check_proof,
+    check_proofs,
     compose,
     run,
     solve,
@@ -33,6 +41,10 @@ from rulechain.theory import (
     parse_theory,
     render,
 )
+
+from conftest import FAULTY_AFTER_SHARED, SHARED_LINES, SHARED_PROOF, SHARED_STATEMENT
+
+GOLDEN = Path(__file__).parent / "golden"
 
 CHAIN2_PROOF = "(sent2 & sent1) -> int1 ; (sent3 & int1) -> hypothesis"
 CONJ_PROOF = "(sent2 & sent3 sent4) -> hypothesis"
@@ -345,3 +357,52 @@ def test_check_proof_rejects_dangling_intermediates(diamond):
 def test_check_proof_rejects_unknown_label(chain2):
     with pytest.raises(ProofCheckError):
         check_proof(chain2, parse_statement("Bob is smart."), "maybe", CHAIN2_PROOF)
+
+
+# ---------------------------------------------------------------------------
+# Checking a gold set in one call
+# ---------------------------------------------------------------------------
+
+def golden_instances(name):
+    return [instance_from_json(row) for row in read_jsonl(GOLDEN / f"{name}.dataset.jsonl")]
+
+
+@pytest.mark.parametrize("name", ["corpus", "chain", "diamond", "ladder"])
+def test_a_gold_set_checks_like_its_proofs_one_by_one(name):
+    for inst in golden_instances(name):
+        for q in inst.questions:
+            ann = q.annotation
+            alone = [check_proof(inst.theory, q.statement, ann.label, p) for p in ann.proofs]
+            assert check_proofs(inst.theory, q.statement, ann.label, ann.proofs) == alone
+
+
+@pytest.mark.parametrize("case", sorted(FAULTY_AFTER_SHARED))
+def test_a_fault_in_reused_steps_is_found_after_a_valid_proof(case):
+    theory = parse_theory(SHARED_LINES)
+    statement = parse_statement(SHARED_STATEMENT)
+    faulty = FAULTY_AFTER_SHARED[case]
+    assert len(check_proof(theory, statement, LABEL_TRUE, SHARED_PROOF)) == 3
+    with pytest.raises(ProofCheckError) as alone:
+        check_proof(theory, statement, LABEL_TRUE, faulty)
+    with pytest.raises(ProofCheckError, match=f"^{re.escape(str(alone.value))}$"):
+        check_proofs(theory, statement, LABEL_TRUE, [SHARED_PROOF, faulty])
+
+
+def test_a_gold_set_matches_each_distinct_step_once(monkeypatch):
+    """The capped question of the stacked 10-way diamonds: 64 proofs of
+    four steps each that only a few dozen distinct steps make up."""
+    (inst,) = golden_instances("diamond")
+    q = max(inst.questions, key=lambda q: len(q.annotation.proofs))
+    ann = q.annotation
+    proofs = check_proofs(inst.theory, q.statement, ann.label, ann.proofs)
+    distinct = {(rule, tuple(premises)) for steps in proofs for rule, premises, _ in steps}
+    assert sum(map(len, proofs)) > 4 * len(distinct)
+
+    calls = []
+    match_rule = reasoner._match_rule
+    monkeypatch.setattr(
+        reasoner, "_match_rule", lambda *args: calls.append(args) or match_rule(*args)
+    )
+    (prediction,) = [p for p in predict_instance(inst, "goal") if p.question_id == q.id]
+    inference_pr(inst, q, prediction)
+    assert 0 < len(calls) <= len(distinct)
