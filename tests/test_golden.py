@@ -26,13 +26,6 @@ from pathlib import Path
 import pytest
 
 from rulechain.cli import main
-from rulechain.evalkit import (
-    index_predictions,
-    inference_pr,
-    label_correct,
-    predict_instances,
-    proof_correct,
-)
 from rulechain.datagen import (
     Instance,
     Question,
@@ -40,6 +33,13 @@ from rulechain.datagen import (
     gold_closure,
     instance_from_json,
     instance_to_json,
+)
+from rulechain.evalkit import (
+    index_predictions,
+    inference_pr,
+    label_correct,
+    predict_instances,
+    proof_correct,
 )
 from rulechain.jsonlio import read_jsonl, write_json, write_jsonl
 from rulechain.reasoner import run

@@ -1,6 +1,5 @@
 """Fact store, one-hop steps, the run loop, verdicts, canonical proofs."""
 import re
-from pathlib import Path
 
 import pytest
 
@@ -43,8 +42,7 @@ from rulechain.theory import (
 )
 
 from conftest import FAULTY_AFTER_SHARED, SHARED_LINES, SHARED_PROOF, SHARED_STATEMENT
-
-GOLDEN = Path(__file__).parent / "golden"
+from test_golden import GOLDEN
 
 CHAIN2_PROOF = "(sent2 & sent1) -> int1 ; (sent3 & int1) -> hypothesis"
 CONJ_PROOF = "(sent2 & sent3 sent4) -> hypothesis"
