@@ -4,22 +4,25 @@
 Usage:
 
     python3 scripts/bench_pairs.py --base ../parent --change . \\
-        --workloads corpus,chain,proofs --pairs 10 --seconds 38 --seed 0 \\
-        --out BENCH.json
+        --workloads corpus,chain,proofs --pairs 10 --seed 0 --out BENCH.json
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, the
 base first in the first, third, ... pair and the change first in the
-others, so drift in the machine's speed falls on both sides alike. After every run the side's
-``.bench_work/<workload>/result.json`` is read. The script stops with exit
-code 1 as soon as the two runs of a pair differ in their output digests,
-in ``correct`` or in ``failed``: a pair that computes different things
-compares nothing.
+others, so drift in the machine's speed falls on both sides alike. Without
+``--seconds`` each run lasts the ``run_seconds`` that the change's
+``BENCHMARK.json`` declares, or run.py's own default when it declares none.
+After every run the side's ``.bench_work/<workload>/result.json`` is read.
+The script stops with exit code 1 as soon as a run is not ``correct`` or
+has a failed question, or the two runs of a pair differ in their output
+digests, in ``correct`` or in ``failed``: a wrong result, or a pair that
+computes different things, compares nothing.
 
 The output file holds, per workload and end-to-end metric, each side's
 values in pair order, their median and quartiles, and the number of pairs
 in which the change was better, read by the ``better`` direction that the
-change's ``BENCHMARK.json`` declares. It also records both checkouts'
-commits and the machine. Only the standard library is used.
+change's ``BENCHMARK.json`` declares. It also records the run length that
+run.py reports, both checkouts' commits and the machine. Only the standard
+library is used.
 """
 from __future__ import annotations
 
@@ -35,18 +38,29 @@ SIDES = ("base", "change")
 CHECKED = ("digests", "correct", "failed")
 
 
-def run_side(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
+def run_side(checkout: Path, workload: str, seconds: float | None, seed: int) -> dict:
     """One benchmark run in ``checkout``; its result.json."""
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--trace", "0",
     ]
+    if seconds is not None:
+        argv += ["--seconds", str(seconds)]
     done = subprocess.run(argv, cwd=checkout, stdout=subprocess.DEVNULL)
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: perfbench/run.py --workload {workload} "
                          f"exited with {done.returncode}")
     path = checkout / ".bench_work" / workload / "result.json"
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def unsound(result: dict) -> str:
+    """Why one run's result cannot be measured, or ''."""
+    if result["correct"] is not True:
+        return "result is not correct"
+    if result["failed"]:
+        return f"{result['failed']} failed questions"
+    return ""
 
 
 def mismatch(base: dict, change: dict) -> str:
@@ -102,11 +116,10 @@ def commit(checkout: Path) -> dict:
     return {"commit": head or None, "dirty": bool(git("status", "--porcelain")) if head else None}
 
 
-def declared_directions(checkout: Path) -> dict[str, str]:
+def benchmark_spec(checkout: Path) -> dict:
+    """The checkout's BENCHMARK.json, or {} when it has none."""
     spec = checkout / "BENCHMARK.json"
-    if not spec.is_file():
-        return {}
-    return {m["name"]: m["better"] for m in json.loads(spec.read_text())["end_to_end"]}
+    return json.loads(spec.read_text()) if spec.is_file() else {}
 
 
 def parse_args(argv):
@@ -115,7 +128,8 @@ def parse_args(argv):
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workloads", default="corpus,chain,proofs")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=38.0)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="run length (default: the change's BENCHMARK.json run_seconds)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, required=True, help="summary JSON to write")
     args = parser.parse_args(argv)
@@ -128,12 +142,20 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
     workloads = [w for w in args.workloads.split(",") if w]
+    spec = benchmark_spec(checkouts["change"])
+    seconds = args.seconds if args.seconds is not None else spec.get("run_seconds")
     results: dict[str, list[dict]] = {w: [] for w in workloads}
     for i in range(args.pairs):
         for workload in workloads:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {side: run_side(checkouts[side], workload, args.seconds, args.seed)
-                    for side in order}
+            pair = {}
+            for side in order:
+                pair[side] = run_side(checkouts[side], workload, seconds, args.seed)
+                why = unsound(pair[side])
+                if why:
+                    print(f"error: pair {i + 1} of {workload}: the {side} run's {why}",
+                          file=sys.stderr)
+                    return 1
             field = mismatch(pair["base"], pair["change"])
             if field:
                 print(f"error: pair {i + 1} of {workload}: the two sides' {field} differ",
@@ -141,10 +163,10 @@ def main(argv=None) -> int:
                 return 1
             results[workload].append(pair)
             print(f"pair {i + 1}/{args.pairs} {workload} done", file=sys.stderr)
-    better = declared_directions(checkouts["change"])
+    better = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
     doc = {
         "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": results[workloads[0]][0]["change"]["seconds"],
         "seed": args.seed,
         "order": "base first in odd-numbered pairs, change first in even-numbered ones",
         **{side: commit(path) for side, path in checkouts.items()},

@@ -267,12 +267,10 @@ def _gold_conclusion_sets(instance: Instance, question: Question) -> list[set[st
         proofs = check_proofs(instance.theory, question.statement, ann.label, ann.proofs)
     except ProofCheckError as e:
         raise GoldProofError(instance, question.id, str(e)) from None
-    # equal conclusions are one object, alive in ``proofs``: render each once
-    texts: dict[int, str] = {}
-    return [
-        {texts.get(id(c)) or texts.setdefault(id(c), render(c)) for _, _, c in steps}
-        for steps in proofs
-    ]
+    # check_proofs returns equal conclusions as one object: render each once
+    distinct = {id(c): c for steps in proofs for _, _, c in steps}
+    texts = {key: render(c) for key, c in distinct.items()}
+    return [{texts[id(c)] for _, _, c in steps} for steps in proofs]
 
 
 def inference_pr(

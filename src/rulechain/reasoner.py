@@ -426,14 +426,15 @@ def check_proofs(
     proofs claim: "true" (proves the statement) or "false" (proves its
     negation).
 
-    Proofs of one statement share most of their steps, so with several
-    proofs each distinct step is matched against its rule once: a step is
+    Proofs of one statement share most of their steps, so each distinct
+    step of a call is matched against its rule once: a step is
     keyed by its rule id and its premises, a given fact by its sentence id
     and an intermediate by the number of its conclusion atom, which counts
-    the distinct conclusions derived so far in the call; equal conclusions
-    come back as one object. Every segment of every proof still gets all of
-    its own checks, so the result and the first error are those of
-    separate ``check_proof`` calls.
+    the distinct conclusions derived so far in the call. Every segment of
+    every proof still gets all of its own checks, so the result and the
+    first error are those of separate ``check_proof`` calls. Equal
+    conclusions of one call come back as one object; ``evalkit`` relies on
+    this to render each distinct conclusion once, keyed by identity.
     """
     if not forms:
         return []
@@ -445,7 +446,7 @@ def check_proofs(
         raise ProofCheckError("only true/false verdicts carry proofs")
     facts_by_id = {f.id: f for f in theory.facts}
     # (rule id, premise keys) -> (premise atoms, conclusion, its number)
-    matches: dict | None = {} if len(forms) > 1 else None
+    matches: dict = {}
     numbered: dict[Atom, tuple[int, Atom]] = {}
     return [_check_form(theory, goal, facts_by_id, f, matches, numbered) for f in forms]
 
@@ -455,7 +456,7 @@ def _check_form(
     goal: Atom,
     facts_by_id: dict[str, Fact],
     canonical_form: str,
-    matches: dict | None,
+    matches: dict,
     numbered: dict[Atom, tuple[int, Atom]],
 ) -> list[tuple[str, list[Atom], Atom]]:
     single = _GIVEN_PROOF_RE.fullmatch(canonical_form)
@@ -470,7 +471,7 @@ def _check_form(
 
     segments = canonical_form.split(" ; ")
     bound: dict[str, Atom] = {}
-    bound_numbers: dict[str, int] = {}  # intN -> its atom's number, when shared
+    bound_numbers: dict[str, int] = {}  # intN -> its atom's number
     used: set[str] = set()
     steps: list[tuple[str, list[Atom], Atom]] = []
     for i, seg in enumerate(segments):
@@ -479,11 +480,9 @@ def _check_form(
             raise ProofCheckError(f"malformed step {seg!r}")
         rule_id, fact_part, target_id = m.groups()
         fact_ids = fact_part.split(" ")
-        hit = None
-        if matches is not None:
-            # an unbound intermediate keeps its id, which no stored key holds
-            key = (rule_id, *[bound_numbers.get(f, f) for f in fact_ids])
-            hit = matches.get(key)
+        # an unbound intermediate keeps its id, which no stored key holds
+        key = (rule_id, *[bound_numbers.get(f, f) for f in fact_ids])
+        hit = matches.get(key)
         if hit is None:
             try:
                 rule = theory.rule_by_id(rule_id)
@@ -505,10 +504,9 @@ def _check_form(
                     premise_atoms.append(bound[fid])
                     used.add(fid)
             conclusion = _match_rule(rule, premise_atoms)
-            if matches is not None:
-                entry = len(numbered), conclusion
-                number, conclusion = numbered.setdefault(conclusion, entry)
-                matches[key] = premise_atoms, conclusion, number
+            entry = len(numbered), conclusion
+            number, conclusion = numbered.setdefault(conclusion, entry)
+            matches[key] = premise_atoms, conclusion, number
         else:
             # a stored key names a rule, given facts and bound intermediates
             premise_atoms, conclusion, number = hit
@@ -529,8 +527,7 @@ def _check_form(
                     f"intermediates must be numbered in order: got {target_id}, want {expected}"
                 )
             bound[target_id] = conclusion
-            if matches is not None:
-                bound_numbers[target_id] = number
+            bound_numbers[target_id] = number
         steps.append((rule_id, premise_atoms, conclusion))
     dangling = set(bound) - used
     if dangling:

@@ -1,6 +1,8 @@
-"""The summary arithmetic of ``scripts/bench_pairs.py``; running the
-benchmark itself is left to the CI step that pairs a checkout with itself."""
+"""The checks and summary arithmetic of ``scripts/bench_pairs.py``, with
+run.py stubbed out; running the benchmark itself is left to the CI step
+that pairs a checkout with itself."""
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -9,8 +11,10 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def result(qps, rss, digest="d", failed=0):
+def result(qps, rss, digest="d", failed=0, seconds=38.0):
     return {
+        "seconds": seconds,
+        "machine": {"python": "3"},
         "digests": {"gen": {"dataset": digest}},
         "correct": failed == 0,
         "failed": failed,
@@ -47,3 +51,40 @@ def test_pairs_that_compute_different_things_are_named():
     assert bench_pairs.mismatch(result(1, 2), result(5, 6)) == ""
     assert bench_pairs.mismatch(result(1, 2), result(1, 2, digest="e")) == "digests"
     assert bench_pairs.mismatch(result(1, 2), result(1, 2, failed=1)) == "correct"
+
+
+def test_a_wrong_result_is_not_measured():
+    assert bench_pairs.unsound(result(1, 2)) == ""
+    assert bench_pairs.unsound(result(1, 2, failed=2)) == "result is not correct"
+    assert bench_pairs.unsound({**result(1, 2), "failed": 2}) == "2 failed questions"
+
+
+def test_both_sides_wrong_alike_stop_the_script(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bench_pairs, "run_side", lambda *args: result(1, 2, failed=1))
+    out = tmp_path / "bench.json"
+    argv = ["--base", str(tmp_path), "--change", str(tmp_path), "--workloads", "proofs",
+            "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    assert "the base run's result is not correct" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_length_defaults_to_the_changes_benchmark(monkeypatch, tmp_path):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7, "end_to_end": []}))
+    asked = []
+
+    def run_side(checkout, workload, seconds, seed):
+        asked.append(seconds)
+        return result(1, 2, seconds=7.0)
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    out = tmp_path / "bench.json"
+    argv = ["--base", str(tmp_path), "--change", str(change), "--workloads", "proofs",
+            "--pairs", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert asked == [7, 7]
+    assert json.loads(out.read_text())["seconds"] == 7.0
+    assert bench_pairs.main([*argv, "--seconds", "0.5"]) == 0
+    assert asked[2:] == [0.5, 0.5]

@@ -532,11 +532,11 @@ class TestMalformedRows:
         assert err.startswith(f"error: {bad}:3 (id {question['id']!r}): ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("case", sorted(FAULTY_AFTER_SHARED))
     def test_a_fault_after_a_valid_gold_proof_exits_1_with_location(
-        self, dataset, tmp_path, capsys, case
+        self, dataset, tmp_path, capsys
     ):
-        faulty = FAULTY_AFTER_SHARED[case]
+        # every step hits the valid proof's; the reasoner tests cover the other faults
+        faulty = FAULTY_AFTER_SHARED["dangling_intermediate"]
         with pytest.raises(ProofCheckError) as alone:
             check_proof(
                 parse_theory(SHARED_LINES), parse_statement(SHARED_STATEMENT), LABEL_TRUE, faulty
