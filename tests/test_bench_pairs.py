@@ -47,10 +47,17 @@ def test_one_pair_is_its_own_quartiles():
     assert summary["gen_qps"]["change"] == {"values": [3], "median": 3, "q1": 3, "q3": 3}
 
 
-def test_pairs_that_compute_different_things_are_named():
-    assert bench_pairs.mismatch(result(1, 2), result(5, 6)) == ""
-    assert bench_pairs.mismatch(result(1, 2), result(1, 2, digest="e")) == "digests"
-    assert bench_pairs.mismatch(result(1, 2), result(1, 2, failed=1)) == "correct"
+def test_pairs_that_compute_different_things_are_named(monkeypatch, tmp_path, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    sides = {tmp_path: result(1, 2), change: result(5, 6, digest="e")}
+    monkeypatch.setattr(bench_pairs, "run_side", lambda checkout, *args: sides[checkout])
+    out = tmp_path / "bench.json"
+    argv = ["--base", str(tmp_path), "--change", str(change), "--workloads", "proofs",
+            "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    assert "pair 1 of proofs: the two sides' digests differ" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_wrong_result_is_not_measured():
