@@ -3,11 +3,11 @@ training-record emission.
 
 The generator works backward from a target depth: it lays down a derivation
 chain of exactly that length for one subject, then adds distractor chains
-over disjoint vocabulary, inapplicable padding rules, and isolated padding
-facts. Because every conclusion token is drawn without replacement, each
-derivable fact has exactly one derivation, every statement has a unique
-proof, and the closure size is known in advance; the instance is then
-verified against the closure oracle and resampled on any mismatch.
+over disjoint vocabulary. Because every conclusion token is drawn without
+replacement, each derivable fact has exactly one derivation, every
+statement has a unique proof, and the closure size is known in advance;
+the instance is then verified against the closure oracle and resampled on
+any mismatch.
 
 The closure oracle in this module is the authority for gold labels,
 depths, and proof sets. It computes the full forward closure in semi-naive
@@ -384,14 +384,23 @@ def assign_gold(
 # Generation
 # ---------------------------------------------------------------------------
 
+# Size caps on one theory. A draft over a cap, or one that runs out of
+# words, is drawn again; an instance gives up after MAX_RETRIES draws. Only
+# many distractor chains come near the caps.
+MAX_FACTS = 40
+MAX_RULES = 40
+MAX_RETRIES = 25
+
+
 @dataclass(frozen=True)
 class GenConfig:
-    """Knobs for the synthetic generator. Ranges are inclusive."""
+    """Knobs for the synthetic generator. Ranges are inclusive.
+
+    Names, nouns, attributes and verbs come from the ``vocab.GEN_*`` pools.
+    """
 
     target_depths: tuple = (0, 1, 2, 3)  # ints 0..5 and/or "unknown"
     theories: int = 10
-    facts_range: tuple[int, int] = (1, 40)
-    rules_range: tuple[int, int] = (0, 40)
     distractor_chains: "int | tuple[int, int]" = 2
     distractor_len_range: tuple[int, int] = (1, 2)
     conjunction_prob: float = 0.35
@@ -399,14 +408,8 @@ class GenConfig:
     rel_prob: float = 0.2
     ground_rule_prob: float = 0.15
     share_subject_prob: float = 0.3
-    proper_names: tuple[str, ...] = vocab.GEN_PROPER_NAMES
-    person_nouns: tuple[str, ...] = vocab.GEN_PERSON_NOUNS
-    animal_nouns: tuple[str, ...] = vocab.GEN_ANIMAL_NOUNS
-    attributes: tuple[str, ...] = vocab.GEN_ATTRIBUTES
-    verbs: tuple[str, ...] = tuple(vocab.VERB_3SG)
     seed: int = 0
     proof_cap: int = 64
-    max_retries: int = 25
 
 
 def d3_like_config(theories: int = 500, seed: int = 0) -> GenConfig:
@@ -447,10 +450,9 @@ def _validate_config(config: GenConfig) -> None:
     for d in depths:
         if d != "unknown" and (not isinstance(d, int) or not 0 <= d <= 5):
             raise GenerationError(f"bad target depth {d!r}")
-    for name in ("facts_range", "rules_range", "distractor_len_range"):
-        lo, hi = getattr(config, name)
-        if lo < 0 or hi < lo:
-            raise GenerationError(f"bad {name} ({lo}, {hi})")
+    lo, hi = config.distractor_len_range
+    if lo < 0 or hi < lo:
+        raise GenerationError(f"bad distractor_len_range ({lo}, {hi})")
     chains = config.distractor_chains
     if isinstance(chains, tuple):
         if chains[0] < 0 or chains[1] < chains[0]:
@@ -466,10 +468,8 @@ def _validate_config(config: GenConfig) -> None:
             raise GenerationError(f"{name} must be in [0, 1]")
     if config.theories < 0:
         raise GenerationError("theories must be >= 0")
-    if config.proof_cap < 1 or config.max_retries < 1:
-        raise GenerationError("proof_cap and max_retries must be >= 1")
-    if not config.attributes or not (config.proper_names or config.person_nouns):
-        raise GenerationError("vocabulary pools must not be empty")
+    if config.proof_cap < 1:
+        raise GenerationError("proof_cap must be >= 1")
 
 
 def seed_substream(seed: int, index: int) -> int:
@@ -479,19 +479,21 @@ def seed_substream(seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+_VERBS = tuple(vocab.VERB_3SG)
+
+
 class _Decks:
     """Per-theory token decks; every draw is unique within the theory."""
 
-    def __init__(self, config: GenConfig, rng: random.Random):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.attrs = list(config.attributes)
+        self.attrs = list(vocab.GEN_ATTRIBUTES)
         rng.shuffle(self.attrs)
-        subjects = [Entity(PROPER, n) for n in config.proper_names]
-        subjects += [Entity(COMMON, n) for n in config.person_nouns]
-        subjects += [Entity(COMMON, n) for n in config.animal_nouns]
+        subjects = [Entity(PROPER, n) for n in vocab.GEN_PROPER_NAMES]
+        subjects += [Entity(COMMON, n) for n in vocab.GEN_PERSON_NOUNS]
+        subjects += [Entity(COMMON, n) for n in vocab.GEN_ANIMAL_NOUNS]
         rng.shuffle(subjects)
         self.subjects = subjects
-        self.verbs = list(config.verbs)
 
     def draw_attr(self) -> str:
         if not self.attrs:
@@ -504,10 +506,8 @@ class _Decks:
         return self.subjects.pop()
 
     def draw_rel(self) -> Rel:
-        if not self.verbs:
-            raise _Retry("verb pool exhausted")
         # A fresh object entity keeps every (verb, object) pair unique.
-        return Rel(self.rng.choice(self.verbs), self.draw_subject())
+        return Rel(self.rng.choice(_VERBS), self.draw_subject())
 
 
 def _rule_style(
@@ -615,13 +615,13 @@ def generate_instance(
 ) -> Instance:
     """One theory plus its question set, verified against the oracle."""
     last = "constraints never satisfied"
-    for _ in range(config.max_retries):
+    for _ in range(MAX_RETRIES):
         try:
             return _build_instance(config, target_depth, rng, index)
         except _Retry as e:
             last = str(e)
     raise GenerationError(
-        f"instance {index}: gave up after {config.max_retries} attempts ({last})"
+        f"instance {index}: gave up after {MAX_RETRIES} attempts ({last})"
     )
 
 
@@ -631,7 +631,7 @@ def _build_instance(
     rng: random.Random,
     index: int,
 ) -> Instance:
-    decks = _Decks(config, rng)
+    decks = _Decks(rng)
     draft = _Draft()
     unknown_only = target_depth == "unknown"
     depth = 0 if unknown_only else int(target_depth)
@@ -656,19 +656,10 @@ def _build_instance(
         _build_chain(config, rng, decks, draft, other, length, plain=True)
         expected_extra += length
 
-    while len(draft.fact_atoms) < config.facts_range[0]:
-        draft.add_fact(Atom(decks.draw_subject(), IsAttr(decks.draw_attr()), True))
-    while len(draft.rule_protos) < config.rules_range[0]:
-        draft.add_rule(
-            (Atom(X, IsAttr(decks.draw_attr()), True),),
-            Atom(X, IsAttr(decks.draw_attr()), True),
-            QUANT_THINGS,
-            RuleStyle(FORM_IF, (False,)),
-        )
-    if len(draft.fact_atoms) > config.facts_range[1]:
-        raise _Retry(f"needs {len(draft.fact_atoms)} facts > facts_range max")
-    if len(draft.rule_protos) > config.rules_range[1]:
-        raise _Retry(f"needs {len(draft.rule_protos)} rules > rules_range max")
+    if len(draft.fact_atoms) > MAX_FACTS:
+        raise _Retry(f"needs {len(draft.fact_atoms)} facts > {MAX_FACTS}")
+    if len(draft.rule_protos) > MAX_RULES:
+        raise _Retry(f"needs {len(draft.rule_protos)} rules > {MAX_RULES}")
 
     rng.shuffle(draft.rule_protos)
     rng.shuffle(draft.fact_atoms)
@@ -773,7 +764,7 @@ def _instance_tokens(instance: Instance) -> tuple[list[str], list[str], list[str
     def note_entity(e: Entity) -> None:
         if e.kind == PROPER:
             propers.setdefault(e.surface)
-        elif vocab.is_person_noun(e.surface):
+        elif e.surface in vocab.PERSON_NOUNS:
             persons.setdefault(e.surface)
         else:
             animals.setdefault(e.surface)
@@ -849,11 +840,6 @@ def perturb(
     mode: str,
     rng: random.Random,
     n: int = 5,
-    *,
-    proper_pool: tuple[str, ...] = vocab.REPLACEMENT_PROPER_NAMES,
-    person_pool: tuple[str, ...] = vocab.REPLACEMENT_PERSON_NOUNS,
-    animal_pool: tuple[str, ...] = vocab.REPLACEMENT_ANIMAL_NOUNS,
-    attribute_pool: tuple[str, ...] = vocab.REPLACEMENT_ATTRIBUTES,
 ) -> EquivalenceSet:
     """``n`` injectively renamed variants of an instance.
 
@@ -877,11 +863,11 @@ def perturb(
     for k in range(1, n + 1):
         mapping: dict[str, str] = {}
         if mode in (MODE_SUBJECT, MODE_BOTH):
-            mapping.update(sample(propers, proper_pool, "proper names"))
-            mapping.update(sample(persons, person_pool, "person nouns"))
-            mapping.update(sample(animals, animal_pool, "animal nouns"))
+            mapping.update(sample(propers, vocab.REPLACEMENT_PROPER_NAMES, "proper names"))
+            mapping.update(sample(persons, vocab.REPLACEMENT_PERSON_NOUNS, "person nouns"))
+            mapping.update(sample(animals, vocab.REPLACEMENT_ANIMAL_NOUNS, "animal nouns"))
         if mode in (MODE_ATTRIBUTE, MODE_BOTH):
-            mapping.update(sample(attrs, attribute_pool, "attributes"))
+            mapping.update(sample(attrs, vocab.REPLACEMENT_ATTRIBUTES, "attributes"))
         renaming = RenamingMap(mode, mapping)
         variant_id = f"{instance.id}.{mode}{k}"
         variants.append((apply_renaming(instance, renaming, variant_id), renaming))

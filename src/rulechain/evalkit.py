@@ -64,8 +64,6 @@ from .reasoner import (
 from .strategies import make_strategy
 from .theory import render
 
-DEPTH_BUCKETS = (0, 1, 2, 3, 4, 5, DEPTH_NA)
-
 
 # ---------------------------------------------------------------------------
 # Prediction pipeline
@@ -168,16 +166,6 @@ def _read_budgets(
             Prediction(question.id, verdict.label, verdict.proof, generated[:n], n, reason)
         )
     return out
-
-
-def predict_instance(
-    instance: Instance,
-    strategy_name: str,
-    budget: int | None = None,
-    shuffle_seed: int | None = None,
-) -> list[Prediction]:
-    """Predictions for every question of one instance, in question order."""
-    return _predict_budgets(instance, strategy_name, (budget,), shuffle_seed)[0]
 
 
 def _predict_sweep(
@@ -413,7 +401,7 @@ def score_consistency(
 
 @dataclass
 class DepthRow:
-    depth: "int | str"  # 0..5, "N/A", or "All"
+    depth: "int | str"  # 0, 1, ..., "N/A", or "All"
     n: int = 0
     entailment_correct: int = 0
     proof_correct: int = 0
@@ -526,8 +514,11 @@ def build_report(
     consistency: ConsistencyResult | None = None,
     efficiency: float | None = None,
 ) -> MetricsReport:
-    """Per-depth metric rows (depths 0..5, "N/A", then "All") for one run."""
-    rows = {d: DepthRow(d) for d in DEPTH_BUCKETS}
+    """Per-depth metric rows for one run: depths 0 to the deepest question
+    or 5, whichever is more, then "N/A" and "All"."""
+    depths = [q.annotation.depth for inst in instances for q in inst.questions]
+    deepest = max([5, *(d for d in depths if type(d) is int)])
+    rows = {d: DepthRow(d) for d in (*range(deepest + 1), DEPTH_NA)}
     total = DepthRow("All")
     for inst, q, p in _paired(instances, index_predictions(predictions)):
         correct = label_correct(q, p)
@@ -538,7 +529,7 @@ def build_report(
             raise ValueError(f"question {q.id}: unexpected depth {depth!r}")
         rows[depth].add(correct, strict, pr, p.composer_calls)
         total.add(correct, strict, pr, p.composer_calls)
-    all_rows = [rows[d].to_json() for d in DEPTH_BUCKETS] + [total.to_json()]
+    all_rows = [row.to_json() for row in rows.values()] + [total.to_json()]
     return MetricsReport(
         strategy,
         budget,

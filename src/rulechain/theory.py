@@ -34,10 +34,9 @@ import re
 from dataclasses import dataclass, field
 
 from .vocab import (
+    PERSON_NOUNS,
     VERB_3SG,
     VERB_BASE_BY_3SG,
-    Vocabulary,
-    is_person_noun,
 )
 
 PROPER = "proper"
@@ -76,10 +75,6 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class UnknownTokenError(ParseError):
-    """A content word outside the vocabulary the parser was given."""
-
-
 class TheoryParseError(ValueError):
     """One or more lines of a theory failed to parse."""
 
@@ -106,7 +101,7 @@ class Entity:
 
     @property
     def is_person(self) -> bool:
-        return self.kind == PROPER or is_person_noun(self.surface)
+        return self.kind == PROPER or self.surface in PERSON_NOUNS
 
 
 @dataclass(frozen=True)
@@ -157,10 +152,6 @@ class Fact:
     id: str
     atom: Atom
     derived_step: int | None = None
-
-    @property
-    def is_given(self) -> bool:
-        return self.derived_step is None
 
 
 @dataclass(frozen=True)
@@ -398,10 +389,9 @@ class _NoCommit(Exception):
 
 
 class _Parser:
-    def __init__(self, text: str, vocab: Vocabulary | None):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.vocab = vocab
         self.end = len(self.tokens) - 1  # index of the final period
 
     # -- cursor helpers ----------------------------------------------------
@@ -428,24 +418,11 @@ class _Parser:
             raise ParseError(f"unexpected trailing {tok.text!r}", tok.offset)
 
     # -- word classes ------------------------------------------------------
-    def _check_vocab(self, tok: _Token, kind: str) -> None:
-        if self.vocab is None:
-            return
-        pools = {
-            "attribute": self.vocab.attributes,
-            "proper": self.vocab.proper_names,
-            "common": self.vocab.common_nouns,
-        }
-        word = tok.text if kind == "proper" else tok.text.lower()
-        if word not in pools[kind]:
-            raise UnknownTokenError(f"unknown {kind} {tok.text!r}", tok.offset)
-
     def attribute(self) -> str:
         tok = self.next()
         word = tok.text
         if not (word.isalpha() and word.islower()) or word in RESERVED_WORDS:
             raise ParseError(f"expected an attribute, found {tok.text!r}", tok.offset)
-        self._check_vocab(tok, "attribute")
         return word
 
     def more_attributes(self, attrs: list[str]) -> list[str]:
@@ -477,11 +454,9 @@ class _Parser:
                 raise ParseError(
                     f"expected a common noun, found {noun_tok.text!r}", noun_tok.offset
                 )
-            self._check_vocab(noun_tok, "common")
             return Entity(COMMON, noun)
         if tok.text[:1].isupper() and tok.text.isalpha() and tok.text.lower() not in RESERVED_WORDS:
             self.next()
-            self._check_vocab(tok, "proper")
             return Entity(PROPER, tok.text)
         raise _NoCommit
 
@@ -544,7 +519,6 @@ class _Parser:
         if attr0 is None:
             raise _NoCommit
         self.next()
-        self._check_vocab(first, "attribute")
         attrs = self.more_attributes([attr0])
         sort_tok = self.peek()
         if sort_tok is None or sort_tok.text not in (QUANT_PEOPLE, QUANT_THINGS):
@@ -666,19 +640,13 @@ class _Parser:
         return after is None or after.text in ("and", "then")
 
 
-def parse_sentence(
-    text: str,
-    position: int = 1,
-    *,
-    vocab: Vocabulary | None = None,
-) -> Fact | Rule:
+def parse_sentence(text: str, position: int = 1) -> Fact | Rule:
     """Parse one sentence into a Fact or Rule with id ``sent<position>``.
 
     Raises ParseError (with a character offset) for anything outside the
-    fragment. Given a ``vocab``, names, nouns and attributes must come from
-    its pools, or UnknownTokenError is raised.
+    fragment.
     """
-    parser = _Parser(text, vocab)
+    parser = _Parser(text)
     head = parser.tokens[0].text
     if head == "If":
         return parser.parse_if_rule(position)
@@ -693,21 +661,14 @@ def parse_sentence(
     raise ParseError("sentence matches no template", 0)
 
 
-def parse_statement(
-    text: str, *, vocab: Vocabulary | None = None
-) -> Statement:
-    item = parse_sentence(text, vocab=vocab)
+def parse_statement(text: str) -> Statement:
+    item = parse_sentence(text)
     if not isinstance(item, Fact):
         raise ParseError("a statement must be a fact-shaped sentence", 0)
     return Statement(item.atom)
 
 
-def parse_theory(
-    lines: list[str],
-    theory_id: str = "theory",
-    *,
-    vocab: Vocabulary | None = None,
-) -> Theory:
+def parse_theory(lines: list[str], theory_id: str = "theory") -> Theory:
     """Parse sentences (one per line) into a Theory. Blank lines are skipped.
 
     Sentence ids number the kept lines 1..N in order. All bad lines are
@@ -723,7 +684,7 @@ def parse_theory(
             continue
         position += 1
         try:
-            item = parse_sentence(line, position, vocab=vocab)
+            item = parse_sentence(line, position)
         except ParseError as e:
             errors.append((lineno, e))
             continue

@@ -1,7 +1,7 @@
 """Word lists for the controlled-English fragment.
 
-Two families of pools live here. The generation pools are the default
-vocabulary for synthesizing rulebases. The replacement pools are a held-out
+Two families of pools live here. The generation pools are the vocabulary
+the generator synthesizes rulebases from. The replacement pools are a held-out
 vocabulary used only when perturbing an existing rulebase, so a perturbed
 theory never reuses generation tokens. The two families are disjoint.
 
@@ -12,8 +12,6 @@ flip an answer. The perturbation machinery therefore samples replacements
 within the same partition.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 # Verbs are a closed class: morphology is table-driven, never computed.
 VERB_3SG: dict[str, str] = {
@@ -69,20 +67,5 @@ REPLACEMENT_ATTRIBUTES: tuple[str, ...] = (
     "funny", "hilarious", "thorny", "sensitive", "diplomatic", "thoughtful",
 )
 
+# Common nouns that denote people; any other noun, known or not, is a thing.
 PERSON_NOUNS: frozenset[str] = frozenset(GEN_PERSON_NOUNS) | frozenset(REPLACEMENT_PERSON_NOUNS)
-ANIMAL_NOUNS: frozenset[str] = frozenset(GEN_ANIMAL_NOUNS) | frozenset(REPLACEMENT_ANIMAL_NOUNS)
-
-
-def is_person_noun(noun: str) -> bool:
-    """True for common nouns that denote people. Unknown nouns count as things."""
-    return noun in PERSON_NOUNS
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    """Token pools that a parse may be restricted to."""
-
-    proper_names: frozenset[str]
-    common_nouns: frozenset[str]
-    attributes: frozenset[str]
-

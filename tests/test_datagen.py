@@ -262,18 +262,12 @@ def test_bad_configs_are_rejected():
         generate_dataset(GenConfig(conjunction_prob=1.5))
     with pytest.raises(GenerationError):
         generate_dataset(GenConfig(distractor_len_range=(3, 1)))
-    with pytest.raises(GenerationError):
-        generate_dataset(GenConfig(facts_range=(-1, 5)))
 
 
 def test_generator_gives_up_when_pools_are_too_small():
-    cfg = GenConfig(
-        target_depths=(5,),
-        theories=1,
-        attributes=("blue", "red"),
-        max_retries=3,
-    )
-    with pytest.raises(GenerationError):
+    # 30 distractor chains need more attributes than the 30 in the pool
+    cfg = GenConfig(target_depths=(5,), theories=1, distractor_chains=30)
+    with pytest.raises(GenerationError, match=r"25 attempts \(attribute pool exhausted\)"):
         generate_instance(cfg, 5, random.Random(0), 1)
 
 
@@ -395,7 +389,7 @@ def test_person_nouns_stay_person_nouns():
         eqset = perturb(inst, "subject", random.Random(_), n=3)
         for variant, renaming in eqset.variants:
             new = renaming.mapping["doctor"]
-            assert vocab.is_person_noun(new)
+            assert new in vocab.PERSON_NOUNS
             vq = variant.questions[0]
             assert assign_gold(variant.theory, vq.statement).label == "true"
 
@@ -413,8 +407,11 @@ def test_perturb_rejects_unknown_modes_and_small_pools():
     inst = fixed_instance()
     with pytest.raises(ValueError):
         perturb(inst, "verbs", random.Random(0))
-    with pytest.raises(PoolExhaustedError):
-        perturb(inst, "attribute", random.Random(0), attribute_pool=("maroon",))
+    # seven animal nouns, against six held-out replacements
+    lines = [f"The {noun} is blue." for noun in vocab.GEN_ANIMAL_NOUNS[:7]]
+    zoo = Instance("zoo", parse_theory(lines, "zoo"), [])
+    with pytest.raises(PoolExhaustedError, match="animal nouns: need 7 replacements, pool has 6"):
+        perturb(zoo, "subject", random.Random(0))
 
 
 def test_equivalence_rows_roundtrip():

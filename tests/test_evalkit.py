@@ -50,7 +50,7 @@ def pred(qid="q1", label="true", proof=None, generated=(), calls=0, stop="fixpoi
 class TestPredict:
     def test_goal_prediction_on_two_hop_chain(self):
         inst = make_instance(CHAIN2_LINES, ["Bob is smart."])
-        (p,) = ek.predict_instance(inst, "goal")
+        (p,) = ek.predict_instances([inst], "goal")
         assert p.question_id == "T0-q1"
         assert p.label == "true"
         assert p.proof == CHAIN2_PROOF
@@ -60,7 +60,7 @@ class TestPredict:
 
     def test_exhaustive_trace_is_shared_across_questions(self):
         inst = make_instance(CHAIN2_LINES, ["Bob is smart.", "Bob is blue."])
-        p1, p2 = ek.predict_instance(inst, "exhaustive")
+        p1, p2 = ek.predict_instances([inst], "exhaustive")
         assert p1.generated == p2.generated
         assert p1.composer_calls == p2.composer_calls == 2
         assert p1.stop_reason == p2.stop_reason == "fixpoint"
@@ -70,7 +70,7 @@ class TestPredict:
 
     def test_budget_is_passed_through(self):
         inst = make_instance(CHAIN2_LINES, ["Bob is smart."])
-        (p,) = ek.predict_instance(inst, "goal", budget=1)
+        (p,) = ek.predict_instances([inst], "goal", budget=1)
         assert p.label == "unknown"
         assert p.proof is None
         assert p.composer_calls == 1
@@ -138,7 +138,7 @@ class TestProofCorrectTruncatedGold:
 
     @pytest.mark.parametrize("strategy", ["goal", "exhaustive"])
     def test_sound_unlisted_proof_counts(self, strategy):
-        (p,) = ek.predict_instance(self.inst, strategy)
+        (p,) = ek.predict_instances([self.inst], strategy)
         assert p.proof not in self.q.annotation.proofs
         assert ek.proof_correct(self.inst, self.q, p)
         assert ek.score_proof([self.inst], [p]) == 1.0
@@ -151,12 +151,12 @@ class TestProofCorrectTruncatedGold:
 class TestInferencePR:
     def test_exact_derivation_scores_perfectly(self):
         inst = make_instance(CHAIN2_LINES, ["Bob is smart."])
-        (p,) = ek.predict_instance(inst, "goal")
+        (p,) = ek.predict_instances([inst], "goal")
         assert ek.inference_pr(inst, inst.questions[0], p) == (1.0, 1.0)
 
     def test_spurious_conclusion_costs_precision_not_recall(self):
         inst = make_instance(SPUR_LINES, ["Bob is smart."])
-        (p,) = ek.predict_instance(inst, "exhaustive")
+        (p,) = ek.predict_instances([inst], "exhaustive")
         assert set(p.generated) == {"Bob is quiet.", "Bob is smart.", "Bob is furry."}
         precision, recall = ek.inference_pr(inst, inst.questions[0], p)
         assert precision == pytest.approx(2 / 3)
@@ -164,7 +164,7 @@ class TestInferencePR:
 
     def test_empty_generation_with_work_needed_is_undefined(self):
         inst = make_instance(CHAIN2_LINES, ["Bob is smart."])
-        (p,) = ek.predict_instance(inst, "goal", budget=0)
+        (p,) = ek.predict_instances([inst], "goal", budget=0)
         assert p.generated == ()
         precision, recall = ek.inference_pr(inst, inst.questions[0], p)
         assert precision is None
@@ -175,7 +175,7 @@ class TestInferencePR:
         # hypothesis atom itself still counts as needed, so precision
         # stays undefined rather than rewarding the empty trace
         inst = make_instance(CHAIN2_LINES, ["Bob is blue."])
-        (p,) = ek.predict_instance(inst, "goal")
+        (p,) = ek.predict_instances([inst], "goal")
         assert p.composer_calls == 0
         precision, recall = ek.inference_pr(inst, inst.questions[0], p)
         assert precision is None
@@ -183,7 +183,7 @@ class TestInferencePR:
 
     def test_unreachable_question_with_empty_trace_scores_one(self):
         inst = make_instance(CHAIN2_LINES, ["Bob is round."])
-        (p,) = ek.predict_instance(inst, "goal")
+        (p,) = ek.predict_instances([inst], "goal")
         assert p.label == "unknown"
         assert p.generated == ()
         assert ek.inference_pr(inst, inst.questions[0], p) == (1.0, 1.0)
@@ -199,7 +199,7 @@ class TestInferencePR:
 class TestAggregates:
     def test_score_entailment_and_proof(self):
         inst = make_instance(CHAIN2_LINES, ["Bob is smart.", "Bob is round."])
-        preds = ek.predict_instance(inst, "goal")
+        preds = ek.predict_instances([inst], "goal")
         assert ek.score_entailment([inst], preds) == 1.0
         assert ek.score_proof([inst], preds) == 1.0
         # break one label
@@ -209,7 +209,7 @@ class TestAggregates:
 
     def test_missing_prediction_is_an_error(self):
         inst = make_instance(CHAIN2_LINES, ["Bob is smart.", "Bob is round."])
-        preds = ek.predict_instance(inst, "goal")[:1]
+        preds = ek.predict_instances([inst], "goal")[:1]
         with pytest.raises(ValueError, match="no prediction"):
             ek.score_entailment([inst], preds)
 
@@ -351,12 +351,20 @@ class TestReport:
         with pytest.raises(KeyError):
             report.row(9)
 
+    def test_rows_reach_the_deepest_question(self):
+        lines, text = diamond_ladder_lines()
+        inst = make_instance(lines, [text, "Bob is dull."])
+        report = ek.build_report([inst], ek.predict_instances([inst], "goal"), "goal")
+        assert [r["depth"] for r in report.rows] == [*range(15), "N/A", "All"]
+        assert report.row(14)["n"] == report.row("N/A")["n"] == 1
+        assert report.row(5)["n"] == 0
+
     def test_unexpected_depth_is_an_error(self):
         inst = make_instance(CHAIN2_LINES, ["Bob is smart."])
-        bad_ann = dg.GoldAnnotation("true", 99, inst.questions[0].annotation.proofs)
+        bad_ann = dg.GoldAnnotation("true", -1, inst.questions[0].annotation.proofs)
         bad_q = dg.Question("T0-q1", inst.questions[0].statement, "t", bad_ann)
         bad = dg.Instance("T0", inst.theory, [bad_q])
-        preds = ek.predict_instance(inst, "goal")
+        preds = ek.predict_instances([inst], "goal")
         with pytest.raises(ValueError, match="unexpected depth"):
             ek.build_report([bad], preds, "goal")
 
@@ -471,7 +479,7 @@ def test_sweep_predicts_what_separate_budgeted_runs_do(sweep_instances, strategy
         assert preds == expected
         assert [
             p for inst in sweep_instances
-            for p in ek.predict_instance(inst, strategy, budget, shuffle_seed)
+            for p in ek.predict_instances([inst], strategy, budget, shuffle_seed)
         ] == expected
     # every stop reason came up, and some trace ends exactly at a budget
     reasons = {p.stop_reason for preds in sweep for p in preds}
@@ -495,7 +503,7 @@ def test_sweep_predicts_what_separate_budgeted_runs_do(sweep_instances, strategy
 def test_strict_proof_accuracy_never_exceeds_entailment_accuracy(seed, budget):
     cfg = dg.GenConfig(target_depths=(0, 1, 2), theories=1, seed=seed)
     (inst,) = dg.generate_dataset(cfg)
-    preds = ek.predict_instance(inst, "goal", budget=budget)
+    preds = ek.predict_instances([inst], "goal", budget=budget)
     by_id = ek.index_predictions(preds)
     for q in inst.questions:
         p = by_id[q.id]
@@ -507,7 +515,7 @@ def test_strict_proof_accuracy_never_exceeds_entailment_accuracy(seed, budget):
 def test_goal_report_on_clean_data_is_perfect(seed):
     cfg = dg.GenConfig(target_depths=(0, 1, 2, 3), theories=1, seed=seed)
     (inst,) = dg.generate_dataset(cfg)
-    preds = ek.predict_instance(inst, "goal")
+    preds = ek.predict_instances([inst], "goal")
     report = ek.build_report([inst], preds, "goal")
     total = report.row("All")
     assert total["entailment_accuracy"] == 1.0

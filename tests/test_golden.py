@@ -9,9 +9,10 @@ parallel depth-4 chains, and one theory of two stacked 10-way diamonds
 selection has real choice, is also run with a shuffle seed. It also holds
 the labelled dataset of each input, gold proofs included, and of a
 10-layer diamond ladder whose 1,024 proofs pass the enumeration's hard
-limit, and both strategies' per-question scores on that ladder, whose gold
-sets share most of their steps. Any change in gold labelling, in what the
-engine selects, in proof stitching or in scoring shows here as a diff.
+limit, and both strategies' reports on that ladder, whose gold sets share
+most of their steps and whose questions lie deeper than 5. Any change in
+gold labelling, in what the engine selects, in proof stitching or in
+scoring shows here as a diff.
 
 After a change that is meant to alter these outputs, rewrite the files
 with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -34,14 +35,7 @@ from rulechain.datagen import (
     instance_from_json,
     instance_to_json,
 )
-from rulechain.evalkit import (
-    index_predictions,
-    inference_pr,
-    label_correct,
-    predict_instances,
-    proof_correct,
-)
-from rulechain.jsonlio import read_jsonl, write_json, write_jsonl
+from rulechain.jsonlio import read_jsonl, write_jsonl
 from rulechain.reasoner import run
 from rulechain.strategies import STRATEGY_NAMES, make_strategy
 from rulechain.theory import parse_statement, parse_theory, render
@@ -171,28 +165,6 @@ def trace_rows(data: Path, strategy: str, shuffle_seed: int | None) -> list[dict
     return rows
 
 
-def ladder_report(data: Path, strategy: str) -> dict:
-    """What ``build_report`` scores for each question, one row per question:
-    its depth rows stop at 5, and the ladder's questions lie deeper."""
-    instances = [instance_from_json(row) for row in read_jsonl(data)]
-    by_id = index_predictions(predict_instances(instances, strategy))
-    rows = []
-    for inst in instances:
-        for q in inst.questions:
-            p = by_id[q.id]
-            precision, recall = inference_pr(inst, q, p)
-            rows.append({
-                "id": q.id,
-                "depth": q.annotation.depth,
-                "entailment_correct": label_correct(q, p),
-                "proof_correct": proof_correct(inst, q, p),
-                "precision": precision,
-                "recall": recall,
-                "composer_calls": p.composer_calls,
-            })
-    return {"strategy": strategy, "rows": rows}
-
-
 def golden_outputs(workdir: Path) -> dict[str, str]:
     """File name -> contents of every golden output, computed afresh."""
     data = {name: workdir / f"{name}.jsonl" for name in DATASETS}
@@ -219,7 +191,9 @@ def golden_outputs(workdir: Path) -> dict[str, str]:
         for kind in _kinds(shuffle_seed):
             out[f"{stem}.{kind}"] = (workdir / f"{stem}.{kind}").read_text(encoding="utf-8")
     for name, strategy in zip(LADDER_REPORTS, STRATEGY_NAMES):
-        write_json(workdir / name, ladder_report(data["ladder"], strategy))
+        argv = ["eval", "--data", str(data["ladder"]), "--strategy", strategy,
+                "--report", str(workdir / name)]
+        assert main(argv) == 0
         out[name] = (workdir / name).read_text(encoding="utf-8")
     return out
 

@@ -5,7 +5,7 @@ import pytest
 
 from rulechain import reasoner
 from rulechain.datagen import instance_from_json
-from rulechain.evalkit import inference_pr, predict_instance
+from rulechain.evalkit import inference_pr, predict_instances
 from rulechain.jsonlio import read_jsonl
 from rulechain.reasoner import (
     Binding,
@@ -401,6 +401,6 @@ def test_a_gold_set_matches_each_distinct_step_once(monkeypatch):
     monkeypatch.setattr(
         reasoner, "_match_rule", lambda *args: calls.append(args) or match_rule(*args)
     )
-    (prediction,) = [p for p in predict_instance(inst, "goal") if p.question_id == q.id]
+    (prediction,) = [p for p in predict_instances([inst], "goal") if p.question_id == q.id]
     inference_pr(inst, q, prediction)
     assert 0 < len(calls) <= len(distinct)

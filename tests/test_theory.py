@@ -17,7 +17,6 @@ from rulechain.theory import (
     RuleStyle,
     Statement,
     TheoryParseError,
-    UnknownTokenError,
     Var,
     X,
     negate,
@@ -55,7 +54,7 @@ def test_fact_parse_structure():
     fact = parse_sentence("Bob is not cold.", position=4)
     assert fact.id == "sent4"
     assert fact.atom == Atom(Entity(PROPER, "Bob"), IsAttr("cold"), False)
-    assert fact.is_given
+    assert fact.derived_step is None
 
 
 def test_relation_fact_structure():
@@ -197,20 +196,6 @@ def test_pronoun_must_agree_with_quantifier():
         parse_sentence("If someone is blue then it is quiet.")
     with pytest.raises(ParseError):
         parse_sentence("If something is blue then they are quiet.")
-
-
-def test_strict_vocab_flags_unknown_words():
-    voc = vocab.Vocabulary(
-        proper_names=frozenset(vocab.GEN_PROPER_NAMES),
-        common_nouns=frozenset(vocab.GEN_PERSON_NOUNS + vocab.GEN_ANIMAL_NOUNS),
-        attributes=frozenset(vocab.GEN_ATTRIBUTES),
-    )
-    assert parse_sentence("Bob is blue.", vocab=voc).atom.pred == IsAttr("blue")
-    with pytest.raises(UnknownTokenError) as err:
-        parse_sentence("Bob is zorp.", vocab=voc)
-    assert err.value.offset == 7
-    # Without a vocabulary the same sentence parses.
-    assert parse_sentence("Bob is zorp.").atom.pred == IsAttr("zorp")
 
 
 def test_reserved_words_never_parse_as_content():
