@@ -126,18 +126,20 @@ def parse_args(argv):
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    args.workloads = [w for w in args.workloads.split(",") if w]
+    if not args.workloads:
+        parser.error("--workloads must name at least one workload")
     return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
-    workloads = [w for w in args.workloads.split(",") if w]
     spec = benchmark_spec(checkouts["change"])
     seconds = args.seconds if args.seconds is not None else spec.get("run_seconds")
-    results: dict[str, list[dict]] = {w: [] for w in workloads}
+    results: dict[str, list[dict]] = {w: [] for w in args.workloads}
     for i in range(args.pairs):
-        for workload in workloads:
+        for workload in args.workloads:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {}
             for side in order:
@@ -156,12 +158,12 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
     doc = {
         "pairs": args.pairs,
-        "seconds": results[workloads[0]][0]["change"]["seconds"],
+        "seconds": results[args.workloads[0]][0]["change"]["seconds"],
         "seed": args.seed,
         "order": "base first in odd-numbered pairs, change first in even-numbered ones",
         **{side: commit(path) for side, path in checkouts.items()},
         "machine": {
-            **results[workloads[0]][0]["change"]["machine"],
+            **results[args.workloads[0]][0]["change"]["machine"],
             "machine": platform.machine(),
             "processor": platform.processor() or None,
         },

@@ -111,17 +111,6 @@ def _parse_budgets(text: str) -> tuple[int, ...]:
     return budgets
 
 
-def _parse_jobs(text: str) -> int:
-    """A worker count: at least 1, at most the machine's CPU count."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad job count {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"--jobs must be >= 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
-
-
 def _parse_rows(path: str, parse) -> list:
     """``parse`` applied to every row of a JSON-lines file. A row it
     rejects fails the command with the path, line and row id."""
@@ -136,7 +125,19 @@ def _parse_rows(path: str, parse) -> list:
 
 
 def _load_instances(path: str):
-    return _parse_rows(path, instance_from_json)
+    """The dataset's instances. Question ids join predictions, reports and
+    equivalence sets, so the row that repeats one fails the command."""
+    seen = set()
+
+    def parse(row):
+        instance = instance_from_json(row)
+        for q in instance.questions:
+            if q.id in seen:
+                raise ValueError(f"duplicate question id {q.id!r}")
+            seen.add(q.id)
+        return instance
+
+    return _parse_rows(path, parse)
 
 
 @contextlib.contextmanager
@@ -217,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--strategy", choices=STRATEGY_NAMES, default="goal")
     ev.add_argument("--budget", type=int, default=None)
     ev.add_argument("--shuffle-seed", type=int, default=None)
-    ev.add_argument("--jobs", type=_parse_jobs, default=None)
     ev.add_argument("--equivalence", help="equivalence .jsonl for consistency scoring")
     ev.add_argument(
         "--with-efficiency",
@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--strategy", choices=STRATEGY_NAMES, default="goal")
     be.add_argument("--budgets", type=_parse_budgets, default=(1, 3, 5, 7, 10))
     be.add_argument("--shuffle-seed", type=int, default=None)
-    be.add_argument("--jobs", type=_parse_jobs, default=None)
     be.add_argument("--out", help="write the curve JSON here")
     return parser
 
@@ -302,9 +301,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_eval(args) -> int:
     instances = _load_instances(args.data)
-    preds = predict_instances(
-        instances, args.strategy, args.budget, args.shuffle_seed, args.jobs
-    )
+    preds = predict_instances(instances, args.strategy, args.budget, args.shuffle_seed)
 
     consistency = None
     all_preds = list(preds)
@@ -328,7 +325,7 @@ def _cmd_eval(args) -> int:
             groups.setdefault(base_id, []).append((variant, renaming))
         variants = [v for vs in groups.values() for v, _ in vs]
         all_preds += predict_instances(
-            variants, args.strategy, args.budget, args.shuffle_seed, args.jobs
+            variants, args.strategy, args.budget, args.shuffle_seed
         )
         consistency = score_consistency(
             [(base_by_id[bid], vs) for bid, vs in groups.items()], all_preds
@@ -338,7 +335,7 @@ def _cmd_eval(args) -> int:
     if args.with_efficiency:
         other = predict_instances(
             instances, "exhaustive" if args.strategy == "goal" else "goal", args.budget,
-            args.shuffle_seed, args.jobs,
+            args.shuffle_seed,
         )
         goal_preds = preds if args.strategy == "goal" else other
         ex_preds = other if args.strategy == "goal" else preds
@@ -375,9 +372,7 @@ def _cmd_emit_training(args) -> int:
 
 def _cmd_bench(args) -> int:
     instances = _load_instances(args.data)
-    curve = budget_curve(
-        instances, args.strategy, args.budgets, args.shuffle_seed, args.jobs
-    )
+    curve = budget_curve(instances, args.strategy, args.budgets, args.shuffle_seed)
     if args.out:
         write_json(args.out, curve.to_json())
     print(f"strategy={curve.strategy}")

@@ -939,12 +939,10 @@ def instance_from_json(obj: dict) -> Instance:
                 )
         elif type(depth) is not int or depth < 0:
             raise ValueError(f"question {q['id']}: depth must be a non-negative integer")
-        ann = GoldAnnotation(
-            q["label"],
-            depth,
-            tuple(q["proofs"]),
-            bool(q.get("proofs_truncated", False)),
-        )
+        truncated = q.get("proofs_truncated", False)
+        if type(truncated) is not bool:
+            raise ValueError(f"question {q['id']}: proofs_truncated must be true or false")
+        ann = GoldAnnotation(q["label"], depth, tuple(q["proofs"]), truncated)
         questions.append(Question(q["id"], parse_statement(q["text"]), q["text"], ann))
     return Instance(obj["id"], theory, questions)
 

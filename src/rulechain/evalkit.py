@@ -43,9 +43,7 @@ Metrics:
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from . import SCHEMA_VERSIONS
 from .datagen import DEPTH_NA, GoldProofError, Instance, Question, RenamingMap
@@ -173,16 +171,12 @@ def _predict_sweep(
     strategy_name: str,
     budgets: tuple[int | None, ...],
     shuffle_seed: int | None,
-    jobs: int | None,
 ) -> list[list[Prediction]]:
     """For each budget in order, predictions for all questions of all
-    instances in input order; one job per instance."""
-    args = (instances, repeat(strategy_name), repeat(budgets), repeat(shuffle_seed))
-    if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_predict_budgets, *args))
-    else:
-        chunks = list(map(_predict_budgets, *args))
+    instances in input order."""
+    chunks = [
+        _predict_budgets(inst, strategy_name, budgets, shuffle_seed) for inst in instances
+    ]
     return [[p for chunk in chunks for p in chunk[k]] for k in range(len(budgets))]
 
 
@@ -191,10 +185,9 @@ def predict_instances(
     strategy_name: str,
     budget: int | None = None,
     shuffle_seed: int | None = None,
-    jobs: int | None = None,
 ) -> list[Prediction]:
     """Predictions for all questions of all instances, in input order."""
-    return _predict_sweep(instances, strategy_name, (budget,), shuffle_seed, jobs)[0]
+    return _predict_sweep(instances, strategy_name, (budget,), shuffle_seed)[0]
 
 
 def index_predictions(predictions: list[Prediction]) -> dict[str, Prediction]:
@@ -566,7 +559,6 @@ def budget_curve(
     strategy_name: str,
     budgets: tuple[int, ...],
     shuffle_seed: int | None = None,
-    jobs: int | None = None,
 ) -> BudgetCurve:
     """Accuracy as a function of the composition-call budget.
 
@@ -585,7 +577,7 @@ def budget_curve(
     n_questions = sum(len(inst.questions) for inst in instances)
     if not n_questions:
         raise ValueError("nothing to score")
-    sweep = _predict_sweep(instances, strategy_name, curve.budgets, shuffle_seed, jobs)
+    sweep = _predict_sweep(instances, strategy_name, curve.budgets, shuffle_seed)
     for budget, preds in zip(curve.budgets, sweep):
         curve.accuracy[budget] = score_entailment(instances, preds)
         curve.proof_accuracy[budget] = score_proof(instances, preds)

@@ -174,10 +174,12 @@ class FactStore:
     def fact_for(self, atom: Atom) -> Fact | None:
         return self._by_atom.get(atom)
 
-    def add_derived(self, atom: Atom, step_index: int) -> Fact:
+    def add_derived(self, atom: Atom) -> Fact:
+        """The new fact ``intN`` for the N-th derived atom, derived at step N."""
         if atom in self._by_atom:
             raise DuplicateConclusionError(render(atom))
-        fact = Fact(f"int{len(self.derived) + 1}", atom, derived_step=step_index)
+        index = len(self.derived) + 1
+        fact = Fact(f"int{index}", atom, derived_step=index)
         self.derived.append(fact)
         self._by_atom[atom] = fact
         if atom.negated() in self._by_atom:
@@ -231,10 +233,8 @@ def step(store: FactStore, decision: Proceed) -> OneHopStep:
         fact = store.fact_for(substitute(premise, binding.entity))
         if fact is None or fact.id != fid:
             raise StaleDecisionError(f"premise fact {fid} missing or changed")
-    conclusion_atom = compose(rule, binding)
-    index = len(store.derived) + 1
-    fact = store.add_derived(conclusion_atom, index)
-    return OneHopStep(index, rule.id, binding.fact_ids, fact)
+    fact = store.add_derived(compose(rule, binding))
+    return OneHopStep(fact.derived_step, rule.id, binding.fact_ids, fact)
 
 
 def run(

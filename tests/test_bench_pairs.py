@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(spec)
@@ -95,3 +97,15 @@ def test_run_length_defaults_to_the_changes_benchmark(monkeypatch, tmp_path):
     assert json.loads(out.read_text())["seconds"] == 7.0
     assert bench_pairs.main([*argv, "--seconds", "0.5"]) == 0
     assert asked[2:] == [0.5, 0.5]
+
+
+def test_a_workload_list_that_names_none_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bench_pairs, "run_side", lambda *args: result(1, 2))
+    out = tmp_path / "bench.json"
+    for workloads in (",", ""):
+        with pytest.raises(SystemExit) as stop:
+            bench_pairs.main(["--base", str(tmp_path), "--change", str(tmp_path),
+                              "--workloads", workloads, "--out", str(out)])
+        assert stop.value.code == 2
+        assert "--workloads must name at least one workload" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,13 +5,11 @@ in-process against tmp_path files; one subprocess test covers the
 ``python -m`` entry.
 """
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-from rulechain import cli
 from rulechain import datagen as dg
 from rulechain.cli import main
 from rulechain.jsonlio import read_jsonl
@@ -70,6 +68,11 @@ class TestEntry:
         code, _, err = run_cli(capsys, "gen", "--nope")
         assert code == 1
         assert "error:" in err
+        # eval and bench have no worker pool, so no --jobs flag.
+        for command in ("eval", "bench"):
+            code, _, err = run_cli(capsys, command, "--data", "d.jsonl", "--jobs", "2")
+            assert code == 1
+            assert err == "error: unrecognized arguments: --jobs 2\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -317,18 +320,6 @@ class TestEval:
         assert 0.0 <= report["efficiency"] <= 1.0
         assert "efficiency (calls ratio vs exhaustive):" in out
 
-    def test_jobs_do_not_change_the_report(self, dataset, tmp_path, capsys):
-        serial_path = tmp_path / "serial.json"
-        jobs_path = tmp_path / "jobs.json"
-        assert run_cli(
-            capsys, "eval", "--data", str(dataset), "--report", str(serial_path),
-        )[0] == 0
-        assert run_cli(
-            capsys, "eval", "--data", str(dataset), "--report", str(jobs_path),
-            "--jobs", "2",
-        )[0] == 0
-        assert serial_path.read_bytes() == jobs_path.read_bytes()
-
     def test_equivalence_base_must_be_in_the_dataset(self, tmp_path, capsys):
         big = tmp_path / "big.jsonl"
         small = tmp_path / "small.jsonl"
@@ -414,14 +405,6 @@ class TestBench:
         assert list(curve["accuracy"]) == ["1", "3"]
         assert curve["accuracy"]["1"] <= curve["accuracy"]["3"]
 
-    def test_jobs_do_not_change_the_curve(self, dataset, tmp_path, capsys):
-        serial_path = tmp_path / "serial.json"
-        jobs_path = tmp_path / "jobs.json"
-        argv = ("bench", "--data", str(dataset), "--budgets", "0,1,3,3,50")
-        assert run_cli(capsys, *argv, "--out", str(serial_path))[0] == 0
-        assert run_cli(capsys, *argv, "--out", str(jobs_path), "--jobs", "2")[0] == 0
-        assert serial_path.read_bytes() == jobs_path.read_bytes()
-
     def test_rejects_malformed_budgets(self, dataset, capsys):
         code, _, err = run_cli(
             capsys, "bench", "--data", str(dataset), "--budgets", "1,x",
@@ -462,6 +445,13 @@ MALFORMED_ROWS = {
         '"text":"Bob is red.","label":"unknown","depth":0,"proofs":[]}]}',
         " (id 'x')",
         "unknown questions have depth 'N/A'",
+    ),
+    "string_truncation_flag": (
+        '{"id":"x","sentences":{"sent1":"Bob is blue."},"questions":[{"id":"x-q1",'
+        '"text":"Bob is blue.","label":"true","depth":0,"proofs":["sent1 -> hypothesis"],'
+        '"proofs_truncated":"false"}]}',
+        " (id 'x')",
+        "question x-q1: proofs_truncated must be true or false",
     ),
 }
 
@@ -519,6 +509,19 @@ class TestMalformedRows:
         assert err.startswith(f"error: {eq}:2 (id {rows[1]['id']!r}): ")
         assert "questions, but base" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "bench", "emit-training"])
+    def test_repeated_question_id_exits_1_with_location(self, dataset, tmp_path, capsys, command):
+        rows = dataset.read_text(encoding="utf-8").splitlines()
+        row = json.loads(rows[1])
+        qid = json.loads(rows[0])["questions"][0]["id"]
+        row["questions"][-1]["id"] = qid
+        bad = with_bad_row(dataset, tmp_path, json.dumps(row))
+        argv = ["--out-dir", str(tmp_path / "out")] if command == "emit-training" else []
+        code, _, err = run_cli(capsys, command, "--data", str(bad), *argv)
+        assert code == 1
+        assert err == f"error: {bad}:3 (id {row['id']!r}): duplicate question id {qid!r}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_corrupt_gold_proof_exits_1_with_location(self, dataset, tmp_path, capsys):
         row = json.loads(dataset.read_text(encoding="utf-8").splitlines()[1])
@@ -589,18 +592,3 @@ class TestMalformedRows:
         assert err.startswith(f"error: {bad}:3 (id 'c1'): ")
         assert "contradictory" in err
 
-
-class TestJobs:
-    @pytest.mark.parametrize("command", ["eval", "bench"])
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_below_one_is_rejected(self, dataset, capsys, command, jobs):
-        code, _, err = run_cli(capsys, command, "--data", str(dataset), f"--jobs={jobs}")
-        assert code == 1
-        assert "--jobs must be >= 1" in err
-
-    def test_clamped_to_the_cpu_count(self):
-        # Through the parser alone: no worker pool is started.
-        cpus = os.cpu_count() or 1
-        assert cli._parse_jobs("1") == 1
-        assert cli._parse_jobs(str(cpus)) == cpus
-        assert cli._parse_jobs(str(cpus + 1000)) == cpus

@@ -457,6 +457,22 @@ def test_instance_from_json_rejects_sparse_ids():
         instance_from_json(obj)
 
 
+def test_instance_from_json_takes_only_a_boolean_truncation_flag():
+    # A truncated set admits any proof that checks, so "false" must not
+    # load as true.
+    obj = instance_to_json(fixed_instance())
+    question = obj["questions"][0]
+    for flag in (True, False):
+        question["proofs_truncated"] = flag
+        assert instance_from_json(obj).questions[0].annotation.proofs_truncated is flag
+    del question["proofs_truncated"]
+    assert instance_from_json(obj).questions[0].annotation.proofs_truncated is False
+    for bad in ("false", 0, None):
+        question["proofs_truncated"] = bad
+        with pytest.raises(ValueError, match="proofs_truncated must be true or false"):
+            instance_from_json(obj)
+
+
 # ---------------------------------------------------------------------------
 # Training records
 # ---------------------------------------------------------------------------

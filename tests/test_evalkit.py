@@ -76,13 +76,6 @@ class TestPredict:
         assert p.composer_calls == 1
         assert p.stop_reason == "budget_exhausted"
 
-    def test_predict_instances_matches_serial_under_jobs(self):
-        cfg = dg.GenConfig(target_depths=(1, 2), theories=2, seed=11)
-        instances = dg.generate_dataset(cfg)
-        serial = ek.predict_instances(instances, "goal")
-        parallel = ek.predict_instances(instances, "goal", jobs=2)
-        assert parallel == serial
-
     def test_prediction_json_round_trip(self):
         p = pred("a-q1", "false", "sent2 -> hypothesis", ("x.",), 3, "goal_reached")
         assert ek.prediction_from_json(ek.prediction_to_json(p)) == p
@@ -469,7 +462,7 @@ def sweep_instances():
 @pytest.mark.parametrize("shuffle_seed", [None, 7])
 @pytest.mark.parametrize("strategy", ["goal", "exhaustive"])
 def test_sweep_predicts_what_separate_budgeted_runs_do(sweep_instances, strategy, shuffle_seed):
-    sweep = ek._predict_sweep(sweep_instances, strategy, SWEEP_BUDGETS, shuffle_seed, None)
+    sweep = ek._predict_sweep(sweep_instances, strategy, SWEEP_BUDGETS, shuffle_seed)
     assert len(sweep) == len(SWEEP_BUDGETS)
     for budget, preds in zip(SWEEP_BUDGETS, sweep):
         expected = [

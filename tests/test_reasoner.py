@@ -61,10 +61,10 @@ def run_exhaustive(theory, statement_text):
 def test_store_dedups_and_numbers_derived_facts(chain2):
     store = FactStore(chain2)
     assert [f.id for f in store.given] == ["sent1"]
-    fact = store.add_derived(Atom(Entity(PROPER, "Bob"), IsAttr("quiet"), True), 1)
+    fact = store.add_derived(Atom(Entity(PROPER, "Bob"), IsAttr("quiet"), True))
     assert fact.id == "int1"
     with pytest.raises(DuplicateConclusionError):
-        store.add_derived(fact.atom, 2)
+        store.add_derived(fact.atom)
 
 
 def test_store_flags_contradictions():
@@ -74,7 +74,7 @@ def test_store_flags_contradictions():
     theory2 = parse_theory(["Bob is kind."])
     store = FactStore(theory2)
     assert not store.contradiction
-    store.add_derived(Atom(Entity(PROPER, "Bob"), IsAttr("kind"), False), 1)
+    store.add_derived(Atom(Entity(PROPER, "Bob"), IsAttr("kind"), False))
     assert store.contradiction
 
 

@@ -64,7 +64,7 @@ def test_exhaustive_stops_at_fixpoint(chain2):
     assert trace.stop_reason == STOP_FIXPOINT
     store = FactStore(chain2)
     for s in trace.steps:
-        store.add_derived(s.conclusion.atom, s.index)
+        store.add_derived(s.conclusion.atom)
     assert isinstance(ExhaustiveStrategy().select(store), type(STOP))
 
 
