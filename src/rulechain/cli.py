@@ -88,17 +88,6 @@ def _parse_depths(text: str) -> tuple:
     return tuple(out)
 
 
-def _parse_span(text: str, what: str):
-    """\"N\" for a fixed count, \"LO:HI\" for an inclusive range."""
-    try:
-        if ":" in text:
-            lo, hi = text.split(":", 1)
-            return (int(lo), int(hi))
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad {what} {text!r}; use N or LO:HI") from None
-
-
 def _parse_budgets(text: str) -> tuple[int, ...]:
     try:
         budgets = tuple(int(p.strip()) for p in text.split(","))
@@ -106,8 +95,6 @@ def _parse_budgets(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"bad budgets {text!r}; use comma-separated integers"
         ) from None
-    if not budgets:
-        raise argparse.ArgumentTypeError("at least one budget is required")
     return budgets
 
 
@@ -124,17 +111,23 @@ def _parse_rows(path: str, parse) -> list:
     return out
 
 
+def _claim_question_ids(instance, seen: set) -> None:
+    """Add the instance's question ids to ``seen``. Question ids join
+    predictions, reports and equivalence sets, so a repeat is an error."""
+    for q in instance.questions:
+        if q.id in seen:
+            raise ValueError(f"duplicate question id {q.id!r}")
+        seen.add(q.id)
+
+
 def _load_instances(path: str):
-    """The dataset's instances. Question ids join predictions, reports and
-    equivalence sets, so the row that repeats one fails the command."""
+    """The dataset's instances; the row that repeats a question id fails
+    the command."""
     seen = set()
 
     def parse(row):
         instance = instance_from_json(row)
-        for q in instance.questions:
-            if q.id in seen:
-                raise ValueError(f"duplicate question id {q.id!r}")
-            seen.add(q.id)
+        _claim_question_ids(instance, seen)
         return instance
 
     return _parse_rows(path, parse)
@@ -166,36 +159,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a dataset of theories and questions")
     gen.add_argument("--out", required=True, help="output dataset .jsonl")
-    gen.add_argument("--theories", type=int, default=10)
+    gen.add_argument("--theories", type=int, default=GenConfig.theories)
     gen.add_argument(
         "--depths",
         type=_parse_depths,
-        default=(0, 1, 2, 3),
-        help="target depths, e.g. 0..3 or 1,3,5 or 2,unknown (default 0..3)",
+        default=GenConfig.target_depths,
+        help="target depths, e.g. 0..3 or 1,3,5 or 2,unknown",
     )
     gen.add_argument("--seed", type=int, default=_default_seed())
     gen.add_argument(
-        "--distractor-chains",
-        type=lambda s: _parse_span(s, "distractor chain count"),
-        default=2,
-        metavar="N|LO:HI",
-    )
-    gen.add_argument(
-        "--distractor-len",
-        type=lambda s: _parse_span(s, "distractor length range"),
-        default=(1, 2),
-        metavar="LO:HI",
-    )
-    gen.add_argument("--conjunction-prob", type=float, default=0.35)
-    gen.add_argument("--negation-prob", type=float, default=0.15)
-    gen.add_argument("--rel-prob", type=float, default=0.2)
-    gen.add_argument("--ground-rule-prob", type=float, default=0.15)
-    gen.add_argument("--share-subject-prob", type=float, default=0.3)
-    gen.add_argument("--proof-cap", type=int, default=64)
-    gen.add_argument(
         "--preset",
         choices=("d3-like",),
-        help="override shape flags with a named configuration",
+        help="draw a named shape instead of --depths: d3-like is depth-3 "
+        "theories with a spread of distractor conclusions",
     )
 
     pert = sub.add_parser("perturb", help="emit renamed equivalence variants")
@@ -244,19 +220,7 @@ def _cmd_gen(args) -> int:
     if args.preset == "d3-like":
         config = d3_like_config(theories=args.theories, seed=args.seed)
     else:
-        config = GenConfig(
-            target_depths=args.depths,
-            theories=args.theories,
-            distractor_chains=args.distractor_chains,
-            distractor_len_range=args.distractor_len,
-            conjunction_prob=args.conjunction_prob,
-            negation_prob=args.negation_prob,
-            rel_prob=args.rel_prob,
-            ground_rule_prob=args.ground_rule_prob,
-            share_subject_prob=args.share_subject_prob,
-            proof_cap=args.proof_cap,
-            seed=args.seed,
-        )
+        config = GenConfig(target_depths=args.depths, theories=args.theories, seed=args.seed)
     instances = generate_dataset(config)
     write_jsonl(args.out, [instance_to_json(i) for i in instances])
     questions = sum(len(i.questions) for i in instances)
@@ -307,6 +271,7 @@ def _cmd_eval(args) -> int:
     all_preds = list(preds)
     if args.equivalence:
         base_by_id = {inst.id: inst for inst in instances}
+        seen = {q.id for inst in instances for q in inst.questions}
 
         def variant_row(row):
             base_id, _, renaming, variant = equivalence_from_row(row)
@@ -318,6 +283,7 @@ def _cmd_eval(args) -> int:
                     f"{len(variant.questions)} questions, but base {base_id} "
                     f"has {len(base.questions)}"
                 )
+            _claim_question_ids(variant, seen)
             return base_id, renaming, variant
 
         groups: dict[str, list] = {}

@@ -318,11 +318,9 @@ def _assignment_depth(given: dict[int, str], assignment: dict, target: int) -> i
         memo[n] = 1 + max(d(p) for p in premises)
         return memo[n]
 
-    if target in assignment:
-        # score the root's own derivation even when the atom is also given
-        _, premises = assignment[target]
-        return 1 + max((d(p) for p in premises), default=0)
-    return d(target)
+    # score the root's own derivation even when the atom is also given
+    _, premises = assignment[target]
+    return 1 + max((d(p) for p in premises), default=0)
 
 
 def _gold_proofs(closure: GoldClosure, target: Atom, cap: int) -> tuple[list[str], bool]:
@@ -391,10 +389,20 @@ MAX_FACTS = 40
 MAX_RULES = 40
 MAX_RETRIES = 25
 
+# Draw rates. All but SHARE_SUBJECT_PROB (a distractor chain reusing the
+# main subject) apply to the main chain only; distractor chains are plain.
+REL_PROB = 0.2
+GROUND_RULE_PROB = 0.15
+CONJUNCTION_PROB = 0.35
+NEGATION_PROB = 0.15
+SHARE_SUBJECT_PROB = 0.3
+
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Knobs for the synthetic generator. Ranges are inclusive.
+    """How many theories to draw, at which depths, with how many distractor
+    chains, from which seed. Ranges are inclusive. The CLI reads its
+    defaults from here; ``d3_like_config`` is the one other shape.
 
     Names, nouns, attributes and verbs come from the ``vocab.GEN_*`` pools.
     """
@@ -403,13 +411,7 @@ class GenConfig:
     theories: int = 10
     distractor_chains: "int | tuple[int, int]" = 2
     distractor_len_range: tuple[int, int] = (1, 2)
-    conjunction_prob: float = 0.35
-    negation_prob: float = 0.15
-    rel_prob: float = 0.2
-    ground_rule_prob: float = 0.15
-    share_subject_prob: float = 0.3
     seed: int = 0
-    proof_cap: int = 64
 
 
 def d3_like_config(theories: int = 500, seed: int = 0) -> GenConfig:
@@ -459,17 +461,8 @@ def _validate_config(config: GenConfig) -> None:
             raise GenerationError(f"bad distractor_chains {chains}")
     elif chains < 0:
         raise GenerationError(f"bad distractor_chains {chains}")
-    for name in (
-        "conjunction_prob", "negation_prob", "rel_prob",
-        "ground_rule_prob", "share_subject_prob",
-    ):
-        p = getattr(config, name)
-        if not 0.0 <= p <= 1.0:
-            raise GenerationError(f"{name} must be in [0, 1]")
     if config.theories < 0:
         raise GenerationError("theories must be >= 0")
-    if config.proof_cap < 1:
-        raise GenerationError("proof_cap must be >= 1")
 
 
 def seed_substream(seed: int, index: int) -> int:
@@ -555,7 +548,6 @@ class _Draft:
 
 
 def _build_chain(
-    config: GenConfig,
     rng: random.Random,
     decks: _Decks,
     draft: _Draft,
@@ -572,7 +564,7 @@ def _build_chain(
     """
 
     def draw_pred():
-        if not plain and rng.random() < config.rel_prob:
+        if not plain and rng.random() < REL_PROB:
             try:
                 return decks.draw_rel()
             except _Retry:
@@ -582,7 +574,7 @@ def _build_chain(
     chain = [Atom(subject, draw_pred(), True)]
     draft.add_fact(chain[0])
     for _ in range(length):
-        ground = not plain and rng.random() < config.ground_rule_prob
+        ground = not plain and rng.random() < GROUND_RULE_PROB
         if ground:
             quant = QUANT_NONE
             subj_term: Entity | Var = subject
@@ -594,8 +586,8 @@ def _build_chain(
             subj_term = X
         prev = chain[-1]
         premises = [Atom(subj_term, prev.pred, prev.positive)]
-        if not plain and rng.random() < config.conjunction_prob:
-            positive = rng.random() >= config.negation_prob
+        if not plain and rng.random() < CONJUNCTION_PROB:
+            positive = rng.random() >= NEGATION_PROB
             extra = decks.draw_attr()
             premises.append(Atom(subj_term, IsAttr(extra), positive))
             draft.add_fact(Atom(subject, IsAttr(extra), positive))
@@ -637,7 +629,7 @@ def _build_instance(
     depth = 0 if unknown_only else int(target_depth)
 
     subject = decks.draw_subject()
-    chain = _build_chain(config, rng, decks, draft, subject, depth, plain=False)
+    chain = _build_chain(rng, decks, draft, subject, depth, plain=False)
 
     chains_cfg = config.distractor_chains
     n_chains = (
@@ -650,10 +642,10 @@ def _build_instance(
             continue
         other = (
             subject
-            if rng.random() < config.share_subject_prob
+            if rng.random() < SHARE_SUBJECT_PROB
             else decks.draw_subject()
         )
-        _build_chain(config, rng, decks, draft, other, length, plain=True)
+        _build_chain(rng, decks, draft, other, length, plain=True)
         expected_extra += length
 
     if len(draft.fact_atoms) > MAX_FACTS:
@@ -687,7 +679,7 @@ def _build_instance(
     questions: list[Question] = []
 
     def add_question(statement: Statement, want_label: str, want_depth) -> None:
-        annotation = assign_gold(theory, statement, closure, config.proof_cap)
+        annotation = assign_gold(theory, statement, closure)
         if annotation.label != want_label or annotation.depth != want_depth:
             raise _Retry(
                 f"question scored {annotation.label}/{annotation.depth}, "

@@ -222,17 +222,14 @@ def compose(rule: Rule, binding: Binding) -> Atom:
 def step(store: FactStore, decision: Proceed) -> OneHopStep:
     """Apply one selected inference, growing the store by one fact.
 
-    Raises StaleDecisionError if the binding no longer matches the store and
-    DuplicateConclusionError if the conclusion is already present.
+    Raises StaleDecisionError unless ``applicable_bindings`` yields this
+    binding for its entity, and DuplicateConclusionError if the conclusion
+    is already present.
     """
     rule = store.theory.rule_by_id(decision.rule_id)
     binding = decision.binding
-    if len(binding.fact_ids) != len(rule.premises):
-        raise StaleDecisionError("binding does not cover the premises")
-    for premise, fid in zip(rule.premises, binding.fact_ids):
-        fact = store.fact_for(substitute(premise, binding.entity))
-        if fact is None or fact.id != fid:
-            raise StaleDecisionError(f"premise fact {fid} missing or changed")
+    if applicable_bindings(rule, store, (binding.entity,)) != [binding]:
+        raise StaleDecisionError(f"{rule.id} does not apply with facts {binding.fact_ids}")
     fact = store.add_derived(compose(rule, binding))
     return OneHopStep(fact.derived_step, rule.id, binding.fact_ids, fact)
 

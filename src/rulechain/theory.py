@@ -266,11 +266,7 @@ def sentence_number(sid: str) -> int:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _np(term: Entity | Var, *, pronoun: str | None = None) -> str:
-    if isinstance(term, Var):
-        if pronoun is None:
-            raise ValueError("variable outside a rule body")
-        return pronoun
+def _np(term: Entity) -> str:
     if term.kind == PROPER:
         return term.surface
     return f"the {term.surface}"
@@ -566,9 +562,6 @@ class _Parser:
             subject = self.np_or_fail()
         premises = [self.clause_body(subject, plural=False)]
         merged = [False]
-
-        plural = quant == QUANT_PEOPLE
-        pronoun = "they" if plural else "it"
         while self.peek() and self.peek().text == "and":
             and_tok = self.next()
             if len(premises) == 3:
@@ -587,33 +580,11 @@ class _Parser:
                 premises.append(Atom(premises[-1].subject, IsAttr(attr), positive))
                 merged.append(True)
                 continue
-            tok = self.peek()
-            if tok and tok.text in ("they", "it"):
-                self.next()
-                if quant == QUANT_NONE:
-                    raise ParseError(f"{tok.text!r} has no antecedent", tok.offset)
-                if tok.text != pronoun:
-                    raise ParseError(
-                        f"expected {pronoun!r} for this quantifier", tok.offset
-                    )
-                premises.append(self.clause_body(X, plural=plural))
-            else:
-                subj = self.np_or_fail()
-                premises.append(self.clause_body(subj, plural=False))
+            premises.append(self.anaphor_clause(quant))
             merged.append(False)
 
         self.expect("then")
-        tok = self.peek()
-        if tok and tok.text in ("they", "it"):
-            self.next()
-            if quant == QUANT_NONE:
-                raise ParseError(f"{tok.text!r} has no antecedent", tok.offset)
-            if tok.text != pronoun:
-                raise ParseError(f"expected {pronoun!r} for this quantifier", tok.offset)
-            conclusion = self.clause_body(X, plural=plural)
-        else:
-            subj = self.np_or_fail()
-            conclusion = self.clause_body(subj, plural=False)
+        conclusion = self.anaphor_clause(quant)
         self.expect_end()
         return Rule(
             f"sent{position}",
@@ -622,6 +593,21 @@ class _Parser:
             quant,
             RuleStyle(FORM_IF, tuple(merged)),
         )
+
+    def anaphor_clause(self, quant: str) -> Atom:
+        """A clause after 'and' or 'then': the quantifier's pronoun ('they'
+        for people, 'it' for things) with its agreement, or a noun phrase."""
+        tok = self.peek()
+        if not (tok and tok.text in ("they", "it")):
+            return self.clause_body(self.np_or_fail(), plural=False)
+        self.next()
+        if quant == QUANT_NONE:
+            raise ParseError(f"{tok.text!r} has no antecedent", tok.offset)
+        plural = quant == QUANT_PEOPLE
+        pronoun = "they" if plural else "it"
+        if tok.text != pronoun:
+            raise ParseError(f"expected {pronoun!r} for this quantifier", tok.offset)
+        return self.clause_body(X, plural=plural)
 
     def _continuation_ahead(self) -> bool:
         """True when the tokens after 'and' are '[not] <attr>' followed by

@@ -73,6 +73,14 @@ class TestEntry:
             code, _, err = run_cli(capsys, command, "--data", "d.jsonl", "--jobs", "2")
             assert code == 1
             assert err == "error: unrecognized arguments: --jobs 2\n"
+        # gen sets only depths, theory count and seed; the rates, the gold
+        # cap and the distractor shape are the generator's own.
+        for flag, value in (
+            ("--proof-cap", "8"), ("--conjunction-prob", "0.5"), ("--distractor-chains", "2"),
+        ):
+            code, _, err = run_cli(capsys, "gen", "--out", "d.jsonl", flag, value)
+            assert code == 1
+            assert err == f"error: unrecognized arguments: {flag} {value}\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -131,19 +139,12 @@ class TestGen:
             assert {q.annotation.depth for q in inst.questions} <= {0, 1, 2, 3, dg.DEPTH_NA}
 
     def test_rejects_malformed_depths(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            capsys, "gen", "--out", str(tmp_path / "d.jsonl"), "--depths", "x",
-        )
-        assert code == 1
-        assert "bad depth" in err
-
-    def test_bad_distractor_span(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            capsys, "gen", "--out", str(tmp_path / "d.jsonl"),
-            "--distractor-chains", "a:b",
-        )
-        assert code == 1
-        assert "distractor chain count" in err
+        path = tmp_path / "d.jsonl"
+        for depths, why in (("x", "bad depth"), ("3..1", "at least one depth is required")):
+            code, _, err = run_cli(capsys, "gen", "--out", str(path), "--depths", depths)
+            assert code == 1
+            assert why in err
+        assert not path.exists()
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -522,6 +523,21 @@ class TestMalformedRows:
         assert code == 1
         assert err == f"error: {bad}:3 (id {row['id']!r}): duplicate question id {qid!r}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_repeated_variant_question_id_exits_1_with_location(self, dataset, tmp_path, capsys):
+        eq = tmp_path / "eq.jsonl"
+        assert run_cli(
+            capsys, "perturb", "--data", str(dataset), "--out", str(eq),
+            "--mode", "subject", "--variants", "1",
+        )[0] == 0
+        rows = eq.read_text(encoding="utf-8").splitlines()
+        eq.write_text("\n".join([*rows, rows[0]]) + "\n", encoding="utf-8")
+        row = json.loads(rows[0])
+        qid = row["questions"][0]["id"]
+        code, _, err = run_cli(capsys, "eval", "--data", str(dataset), "--equivalence", str(eq))
+        assert code == 1
+        line = len(rows) + 1
+        assert err == f"error: {eq}:{line} (id {row['id']!r}): duplicate question id {qid!r}\n"
 
     def test_corrupt_gold_proof_exits_1_with_location(self, dataset, tmp_path, capsys):
         row = json.loads(dataset.read_text(encoding="utf-8").splitlines()[1])

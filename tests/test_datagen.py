@@ -259,8 +259,6 @@ def test_bad_configs_are_rejected():
     with pytest.raises(GenerationError):
         generate_dataset(GenConfig(target_depths=(7,)))
     with pytest.raises(GenerationError):
-        generate_dataset(GenConfig(conjunction_prob=1.5))
-    with pytest.raises(GenerationError):
         generate_dataset(GenConfig(distractor_len_range=(3, 1)))
 
 

@@ -159,6 +159,28 @@ def test_step_rejects_stale_bindings(chain2):
         step(store, Proceed("sent3", Binding(Entity(PROPER, "Bob"), ("sent1",))))
 
 
+class OneShot:
+    """A strategy that hands back one fixed decision, then stops."""
+
+    goal_directed = True
+
+    def __init__(self, decision):
+        self.decisions = [decision]
+
+    def select(self, store):
+        return self.decisions.pop() if self.decisions else reasoner.STOP
+
+
+def test_step_rejects_a_people_rule_bound_to_an_animal():
+    theory = parse_theory(["The cat is red.", "If someone is red then they are big."])
+    statement = parse_statement("The cat is big.")
+    decision = Proceed("sent2", Binding(Entity(COMMON, "cat"), ("sent1",)))
+    with pytest.raises(StaleDecisionError):
+        step(FactStore(theory), decision)
+    with pytest.raises(StaleDecisionError):
+        run(theory, statement, OneShot(decision))
+
+
 # ---------------------------------------------------------------------------
 # Run loop
 # ---------------------------------------------------------------------------
