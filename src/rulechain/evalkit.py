@@ -573,6 +573,9 @@ def budget_curve(
     """
     if not budgets or any(b < 0 for b in budgets):
         raise ValueError("budgets must be non-empty and non-negative")
+    repeated = sorted({b for b in budgets if budgets.count(b) > 1})
+    if repeated:
+        raise ValueError(f"budgets must be distinct; repeated: {', '.join(map(str, repeated))}")
     curve = BudgetCurve(strategy_name, tuple(budgets))
     n_questions = sum(len(inst.questions) for inst in instances)
     if not n_questions:

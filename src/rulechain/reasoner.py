@@ -42,6 +42,7 @@ from .theory import (
     Statement,
     Theory,
     Var,
+    X,
     render,
 )
 
@@ -155,34 +156,164 @@ class Verdict:
     proof: str | None
 
 
-class FactStore:
-    """Given plus derived facts, with atom-level dedup and lookup."""
+class CompiledTheory:
+    """What every run on one theory shares, built once per ``Theory``.
+
+    Atoms are numbered in polarity pairs as the engine first meets them, so
+    an atom's negation is ``n ^ 1``; ``atom`` gives a number's atom.
+    ``ground`` maps a (rule index, entity rank) pair to its premise and
+    conclusion numbers and ``arrivals`` maps an atom number to the
+    groundings its fact can complete; both are filled in on first use, so a
+    theory run once pays only for what that run touches. Rank -1 stands for
+    a ground rule's one binding. ``cones`` holds the relevance cones of
+    ``strategies.relevance_cone``, keyed by statement (subject, predicate).
+    """
 
     def __init__(self, theory: Theory):
+        self.entities: list[Entity] = theory.entity_order()
+        self.rank: dict[Entity, int] = {e: r for r, e in enumerate(self.entities)}
+        self.rules: list[Rule] = theory.rules
+        self.rule_index: dict[str, int] = {r.id: i for i, r in enumerate(theory.rules)}
+        self._atoms: list[Atom | None] = []  # None: a polarity not met yet
+        self._pairs: dict[tuple, int] = {}  # (subject, pred) -> its positive atom's number
+        self.given_numbers = [self.number(f.atom) for f in theory.facts]
+        self.given_facts = dict(zip(self.given_numbers, theory.facts))
+        self.contradiction = any(n ^ 1 in self.given_facts for n in self.given_facts)
+        # (pred, positive) -> rules with such a premise
+        self.by_premise: dict[tuple, list[tuple[int, Rule, Atom]]] = {}
+        for i, rule in enumerate(theory.rules):
+            for p in rule.premises:
+                self.by_premise.setdefault((p.pred, p.positive), []).append((i, rule, p))
+        self.cones: dict[tuple, object] = {}
+        self._ground: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
+        self._arrivals: dict[int, list[tuple[int, Rule, Sequence[Entity | None]]]] = {}
+        self._anyone: dict[int, int] = {}
+
+    @functools.cached_property
+    def by_conclusion(self) -> dict[tuple, list[Rule]]:
+        """(pred, positive) -> rules with such a conclusion; only relevance
+        cones read it."""
+        found: dict[tuple, list[Rule]] = {}
+        for rule in self.rules:
+            found.setdefault((rule.conclusion.pred, rule.conclusion.positive), []).append(rule)
+        return found
+
+    def number(self, atom: Atom) -> int:
+        """The atom's number, numbering it and its negation if new."""
+        key = (atom.subject, atom.pred)
+        n = self._pairs.get(key)
+        if n is None:
+            n = self._pairs[key] = len(self._atoms)
+            self._atoms += (None, None)
+        n += not atom.positive
+        if self._atoms[n] is None:
+            self._atoms[n] = atom
+        return n
+
+    def atom(self, n: int) -> Atom:
+        """The atom of number ``n``."""
+        found = self._atoms[n]
+        if found is None:
+            found = self._atoms[n] = self._atoms[n ^ 1].negated()
+        return found
+
+    def rank_of(self, rule: Rule, entity: Entity | None) -> int | None:
+        """The rank that grounds ``rule`` under ``entity``: -1 for a ground
+        rule or no entity, None for an entity that the rule's quantifier
+        excludes or that the theory never mentions."""
+        if entity is None or rule.quantifier == QUANT_NONE:
+            return -1
+        return self.rank.get(entity) if _quantifier_allows(rule, entity) else None
+
+    def ground(self, i: int, rank: int) -> tuple[tuple[int, ...], int]:
+        """The premise numbers and conclusion number of rule ``i`` with its
+        variable bound to the entity of this rank."""
+        key = (i, rank)
+        found = self._ground.get(key)
+        if found is None:
+            rule = self.rules[i]
+            entity = None if rank < 0 else self.entities[rank]
+            found = self._ground[key] = (
+                tuple(self.number(substitute(p, entity)) for p in rule.premises),
+                self.number(substitute(rule.conclusion, entity)),
+            )
+        return found
+
+    def anyone(self, n: int) -> int:
+        """The number of atom ``n``'s predicate and polarity about the
+        variable subject, which stands for any subject."""
+        found = self._anyone.get(n)
+        if found is None:
+            atom = self.atom(n)
+            found = self._anyone[n] = self.number(Atom(X, atom.pred, atom.positive))
+        return found
+
+    def arrivals(self, n: int) -> list[tuple[int, Rule, Sequence[Entity | None]]]:
+        """(rule index, rule, entities) for every premise a fact of atom
+        number ``n`` can satisfy. A variable premise binds the fact's
+        subject; an equal ground premise offers a ground rule's one binding,
+        or every entity of a quantified rule."""
+        found = self._arrivals.get(n)
+        if found is None:
+            atom = self.atom(n)
+            found = self._arrivals[n] = []
+            for i, rule, premise in self.by_premise.get((atom.pred, atom.positive), ()):
+                if isinstance(premise.subject, Var):
+                    found.append((i, rule, (atom.subject,)))
+                elif premise == atom:
+                    found.append(
+                        (i, rule, self.entities if rule.quantifier != QUANT_NONE else (None,))
+                    )
+        return found
+
+
+def compile_theory(theory: Theory) -> CompiledTheory:
+    """The theory's compiled tables, built on first use and kept on it."""
+    if theory.compiled is None:
+        theory.compiled = CompiledTheory(theory)
+    return theory.compiled
+
+
+class FactStore:
+    """Given plus derived facts of one run, keyed by atom number.
+
+    The theory's ``CompiledTheory`` numbers the atoms; ``by_number`` maps a
+    stored atom's number to its fact and ``numbers`` lists the numbers of
+    the given facts, then of each derived fact in order. ``has_atom``,
+    ``fact_for`` and ``add_derived`` take atoms; the engine uses numbers.
+    """
+
+    def __init__(self, theory: Theory):
+        tables = compile_theory(theory)
         self.theory = theory
-        self.given: list[Fact] = list(theory.facts)
+        self.tables = tables
+        self.given: list[Fact] = theory.facts
         self.derived: list[Fact] = []
-        self._by_atom: dict[Atom, Fact] = {f.atom: f for f in self.given}
-        self.entity_order: list[Entity] = theory.entity_order()
-        self.contradiction = any(
-            f.atom.negated() in self._by_atom for f in self.given
-        )
+        self.entity_order: list[Entity] = tables.entities
+        self.contradiction = tables.contradiction
+        self.by_number: dict[int, Fact] = dict(tables.given_facts)
+        self.numbers: list[int] = list(tables.given_numbers)
 
     def has_atom(self, atom: Atom) -> bool:
-        return atom in self._by_atom
+        return self.fact_for(atom) is not None
 
     def fact_for(self, atom: Atom) -> Fact | None:
-        return self._by_atom.get(atom)
+        return self.by_number.get(self.tables.number(atom))
 
     def add_derived(self, atom: Atom) -> Fact:
+        return self.derive(self.tables.number(atom))
+
+    def derive(self, n: int) -> Fact:
         """The new fact ``intN`` for the N-th derived atom, derived at step N."""
-        if atom in self._by_atom:
+        atom = self.tables.atom(n)
+        if n in self.by_number:
             raise DuplicateConclusionError(render(atom))
         index = len(self.derived) + 1
         fact = Fact(f"int{index}", atom, derived_step=index)
         self.derived.append(fact)
-        self._by_atom[atom] = fact
-        if atom.negated() in self._by_atom:
+        self.by_number[n] = fact
+        self.numbers.append(n)
+        if n ^ 1 in self.by_number:
             self.contradiction = True
         return fact
 
@@ -198,14 +329,19 @@ def applicable_bindings(
 ) -> list[Binding]:
     """The bindings among ``entities`` whose premises are all present in the
     store, in the order given. ``None`` stands for a ground rule's one
-    binding; entities the rule's quantifier excludes are skipped."""
+    binding; entities the rule's quantifier excludes are skipped. The rule
+    is one of the store's theory."""
+    tables = store.tables
+    i = tables.rule_index[rule.id]
+    stored = store.by_number
     bindings: list[Binding] = []
     for entity in entities:
-        if entity is not None and not _quantifier_allows(rule, entity):
+        rank = tables.rank_of(rule, entity)
+        if rank is None:
             continue
         fact_ids: list[str] = []
-        for premise in rule.premises:
-            fact = store.fact_for(substitute(premise, entity))
+        for n in tables.ground(i, rank)[0]:
+            fact = stored.get(n)
             if fact is None:
                 break
             fact_ids.append(fact.id)
@@ -226,11 +362,13 @@ def step(store: FactStore, decision: Proceed) -> OneHopStep:
     binding for its entity, and DuplicateConclusionError if the conclusion
     is already present.
     """
-    rule = store.theory.rule_by_id(decision.rule_id)
+    tables = store.tables
+    i = tables.rule_index[decision.rule_id]
+    rule = tables.rules[i]
     binding = decision.binding
     if applicable_bindings(rule, store, (binding.entity,)) != [binding]:
         raise StaleDecisionError(f"{rule.id} does not apply with facts {binding.fact_ids}")
-    fact = store.add_derived(compose(rule, binding))
+    fact = store.derive(tables.ground(i, tables.rank_of(rule, binding.entity))[1])
     return OneHopStep(fact.derived_step, rule.id, binding.fact_ids, fact)
 
 
@@ -250,12 +388,12 @@ def run(
     if budget is not None and budget < 0:
         raise ValueError("budget must be >= 0")
     store = FactStore(theory)
-    goal = statement.atom
-    anti_goal = goal.negated()
+    stored = store.by_number
+    goal = store.tables.number(statement.atom)
     goal_directed = strategy.goal_directed
     steps: list[OneHopStep] = []
     while True:
-        if goal_directed and (store.has_atom(goal) or store.has_atom(anti_goal)):
+        if goal_directed and (goal in stored or goal ^ 1 in stored):
             reason = STOP_GOAL_REACHED
             break
         if budget is not None and len(steps) >= budget:
@@ -442,14 +580,17 @@ def check_proofs(
     else:
         raise ProofCheckError("only true/false verdicts carry proofs")
     facts_by_id = {f.id: f for f in theory.facts}
+    rules_by_id = {r.id: r for r in theory.rules}
     # (rule id, premise keys) -> (premise atoms, conclusion, its number)
     matches: dict = {}
     numbered: dict[Atom, tuple[int, Atom]] = {}
-    return [_check_form(theory, goal, facts_by_id, f, matches, numbered) for f in forms]
+    return [
+        _check_form(rules_by_id, goal, facts_by_id, f, matches, numbered) for f in forms
+    ]
 
 
 def _check_form(
-    theory: Theory,
+    rules_by_id: dict[str, Rule],
     goal: Atom,
     facts_by_id: dict[str, Fact],
     canonical_form: str,
@@ -481,9 +622,8 @@ def _check_form(
         key = (rule_id, *[bound_numbers.get(f, f) for f in fact_ids])
         hit = matches.get(key)
         if hit is None:
-            try:
-                rule = theory.rule_by_id(rule_id)
-            except KeyError:
+            rule = rules_by_id.get(rule_id)
+            if rule is None:
                 raise ProofCheckError(f"{rule_id} is not a rule")
         if len(fact_ids) > 1 and fact_ids != sorted(fact_ids, key=_id_sort_key):
             raise ProofCheckError(f"fact ids out of canonical order in {seg!r}")

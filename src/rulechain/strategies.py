@@ -22,17 +22,21 @@ every derivation of the statement (or its negation) lies inside the cone,
 so both strategies always agree on the verdict; the goal trace is a
 subsequence of the exhaustive closure and never takes more one-hop steps.
 
-Both strategies select from an ``Agenda``, one per store. It indexes the
-rules by premise predicate and polarity, and each select first reads the
-facts the store gained since the last one: an arriving fact grounds only
-the rules with a matching premise, for only the entities it can bind, and
+Both strategies select from an ``Agenda``, one per store, over tables that
+every run on the theory shares (``reasoner.CompiledTheory``, built once per
+theory): the rules indexed by premise predicate and polarity, atoms as
+numbers, each (rule, entity) pair's ground premise and conclusion numbers,
+and the cones, one per statement. Each select first reads the atom numbers
+the store gained since the last one: an arriving fact grounds only the
+rules with a matching premise, for only the entities it can bind, and
 pushes each (rule, entity) pair it completes onto a heap keyed by (rule
 index, entity rank), which is canonical order. Pairs stay applicable and
 conclusions stay stored, so the smallest entry not yet concluded is exactly
 what a rescan of all rules x entities would pick first, at a cost of about
-one grounding per closure fact instead of rules x entities per step.
-Passing ``shuffle_rng`` switches to a seeded random choice among all live
-entries (``Agenda.live``); determinism then holds per seed.
+one grounding per closure fact instead of rules x entities per step; no
+atom is built or hashed in the loop. Passing ``shuffle_rng`` switches to a
+seeded random choice among all live entries (``Agenda.live``); determinism
+then holds per seed.
 """
 from __future__ import annotations
 
@@ -46,9 +50,9 @@ from .reasoner import (
     STOP,
     Stop,
     applicable_bindings,
-    compose,
+    compile_theory,
 )
-from .theory import QUANT_NONE, X, Atom, Rule, Statement, Theory, Var
+from .theory import X, Atom, Statement, Theory
 
 
 @dataclass
@@ -69,19 +73,22 @@ def relevance_cone(theory: Theory, statement: Statement) -> RelevanceCone:
     Seed with both polarities of the statement; whenever a rule's conclusion
     unifies with a cone atom (same predicate and polarity, and equal
     subjects unless one is the variable), admit the rule and its premises.
-    Rules are indexed by conclusion predicate and polarity, and a worklist
-    hands each new atom to the rules of its key, so the least fixpoint is
-    reached without rescanning every rule per pass.
+    A worklist hands each new atom to the rules of its conclusion key, so
+    the least fixpoint is reached without rescanning every rule per pass.
+    The cone is kept on the theory's compiled tables, one per statement
+    subject and predicate, since both polarities seed the same cone.
     """
-    by_key: dict[tuple, list[Rule]] = {}
-    for rule in theory.rules:
-        by_key.setdefault((rule.conclusion.pred, rule.conclusion.positive), []).append(rule)
+    tables = compile_theory(theory)
+    key = (statement.atom.subject, statement.atom.pred)
+    cone = tables.cones.get(key)
+    if cone is not None:
+        return cone
     work = [statement.atom, statement.atom.negated()]
     patterns: set[Atom] = set(work)
     rule_ids: set[str] = set()
     while work:
         atom = work.pop()
-        for rule in by_key.get((atom.pred, atom.positive), ()):
+        for rule in tables.by_conclusion.get((atom.pred, atom.positive), ()):
             subjects = (rule.conclusion.subject, atom.subject)
             if rule.id in rule_ids or (subjects[0] != subjects[1] and X not in subjects):
                 continue
@@ -90,68 +97,67 @@ def relevance_cone(theory: Theory, statement: Statement) -> RelevanceCone:
                 if premise not in patterns:
                     patterns.add(premise)
                     work.append(premise)
-    return RelevanceCone(frozenset(rule_ids), frozenset(patterns))
+    cone = tables.cones[key] = RelevanceCone(frozenset(rule_ids), frozenset(patterns))
+    return cone
 
 
 class Agenda:
     """The novel decisions of one store, smallest (rule index, entity rank)
-    first. With a cone, only cone rules and in-cone conclusions count."""
+    first. With a cone, only cone rules and in-cone conclusions count.
+    Entries are (rule index, entity rank, conclusion number, decision)."""
 
     def __init__(self, store: FactStore, cone: RelevanceCone | None = None):
         self.store = store
         self.cone = cone
-        self._rank = {e: i for i, e in enumerate(store.entity_order)}
-        self._by_premise: dict[tuple, list[tuple[int, Rule, Atom]]] = {}
-        for i, rule in enumerate(store.theory.rules):
-            if cone is None or rule.id in cone.rule_ids:
-                for p in rule.premises:
-                    self._by_premise.setdefault((p.pred, p.positive), []).append((i, rule, p))
-        self._heap: list[tuple[int, int, Atom, Proceed]] = []
+        # the numbers of the cone's atoms; a conclusion is admitted when its
+        # own number or its any-subject number is among them
+        self._admitted = None if cone is None else set(map(store.tables.number, cone.patterns))
+        self._heap: list[tuple[int, int, int, Proceed]] = []
         self._pushed: set[tuple[int, int]] = set()
-        self._seen = 0  # derived facts already read
-        for fact in store.given:
-            self._arrive(fact.atom)
+        self._seen = 0  # store.numbers already read
 
-    def _arrive(self, atom: Atom) -> None:
-        """Push every (rule, entity) pair this fact completes. A variable
-        premise binds the fact's subject; an equal ground premise offers a
-        ground rule's one binding, or every entity of a quantified rule."""
-        for i, rule, premise in self._by_premise.get((atom.pred, atom.positive), ()):
-            if isinstance(premise.subject, Var):
-                entities = (atom.subject,)
-            elif premise == atom:
-                entities = self.store.entity_order if rule.quantifier != QUANT_NONE else (None,)
-            else:
+    def _arrive(self, n: int) -> None:
+        """Push every (rule, entity) pair the fact of atom number ``n``
+        completes."""
+        store, cone, admitted = self.store, self.cone, self._admitted
+        tables = store.tables
+        for i, rule, entities in tables.arrivals(n):
+            if cone is not None and rule.id not in cone.rule_ids:
                 continue
-            for binding in applicable_bindings(rule, self.store, entities):
-                rank = -1 if binding.entity is None else self._rank[binding.entity]
+            for binding in applicable_bindings(rule, store, entities):
+                rank = -1 if binding.entity is None else tables.rank[binding.entity]
                 if (i, rank) in self._pushed:
                     continue
                 self._pushed.add((i, rank))
-                conclusion = compose(rule, binding)
-                if self.store.has_atom(conclusion):
+                conclusion = tables.ground(i, rank)[1]
+                if conclusion in store.by_number:
                     continue
-                if self.cone is not None and not self.cone.admits(conclusion):
+                if admitted is not None and not (
+                    conclusion in admitted or tables.anyone(conclusion) in admitted
+                ):
                     continue
                 heapq.heappush(self._heap, (i, rank, conclusion, Proceed(rule.id, binding)))
 
     def _catch_up(self) -> None:
-        for fact in self.store.derived[self._seen:]:
-            self._arrive(fact.atom)
-        self._seen = len(self.store.derived)
+        numbers = self.store.numbers
+        while self._seen < len(numbers):
+            self._seen += 1
+            self._arrive(numbers[self._seen - 1])
 
     def first(self) -> Proceed | Stop:
         """The smallest decision whose conclusion is not stored yet."""
         self._catch_up()
-        while self._heap and self.store.has_atom(self._heap[0][2]):
-            heapq.heappop(self._heap)
-        return self._heap[0][3] if self._heap else STOP
+        heap, stored = self._heap, self.store.by_number
+        while heap and heap[0][2] in stored:
+            heapq.heappop(heap)
+        return heap[0][3] if heap else STOP
 
     def live(self) -> list[Proceed]:
         """Every decision whose conclusion is not stored yet, smallest first."""
         self._catch_up()
+        stored = self.store.by_number
         # a sorted list is a heap, so the pruned entries stay the heap
-        self._heap = sorted(e for e in self._heap if not self.store.has_atom(e[2]))
+        self._heap = sorted(e for e in self._heap if e[2] not in stored)
         return [e[3] for e in self._heap]
 
 

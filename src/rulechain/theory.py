@@ -203,22 +203,22 @@ class Statement:
 
 @dataclass
 class Theory:
-    """Facts and rules with dense sentence ids sent1..sentN in source order."""
+    """Facts and rules with dense sentence ids sent1..sentN in source order.
+
+    ``compiled`` caches the engine's tables for this theory
+    (``reasoner.compile_theory``), so ``facts`` and ``rules`` must not
+    change after construction; no caller changes them.
+    """
 
     id: str
     facts: list[Fact] = field(default_factory=list)
     rules: list[Rule] = field(default_factory=list)
+    compiled: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nums = sorted(sentence_number(s.id) for s in [*self.facts, *self.rules])
         if nums != list(range(1, len(nums) + 1)):
             raise ValueError("sentence ids must be dense sent1..sentN")
-
-    def rule_by_id(self, rid: str) -> Rule:
-        for r in self.rules:
-            if r.id == rid:
-                return r
-        raise KeyError(rid)
 
     def sentences(self) -> list[tuple[str, str]]:
         """(id, text) pairs in source order."""

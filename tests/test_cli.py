@@ -413,6 +413,17 @@ class TestBench:
         assert code == 1
         assert "bad budgets" in err
 
+    def test_rejects_a_repeated_budget(self, dataset, tmp_path, capsys):
+        out = tmp_path / "curve.json"
+        code, text, err = run_cli(
+            capsys, "bench", "--data", str(dataset), "--budgets", "3,1,3",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err == "error: budgets must be distinct; repeated: 3\n"
+        assert text == ""
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # Malformed rows and worker counts

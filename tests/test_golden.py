@@ -46,8 +46,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CORPUS_ARGV = ["--theories", "6", "--depths", "0..5", "--seed", "2022"]
 SHUFFLE_SEED = 7
-# zero, a repeat, the exact length of some traces, and more than any trace
-BUDGETS = "0,1,2,3,3,5,7,12,200"
+# zero, the exact length of some traces, and more than any trace
+BUDGETS = "0,1,2,3,5,7,12,200"
 INPUTS = ("corpus", "chain", "diamond")
 DATASETS = (*INPUTS, "ladder")
 LADDER_LAYERS = 10

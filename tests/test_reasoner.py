@@ -355,6 +355,12 @@ def test_check_proof_rejects_malformed_or_unsound(chain2, bad):
         check_proof(chain2, parse_statement("Bob is smart."), LABEL_TRUE, bad)
 
 
+def test_check_proof_names_a_rule_id_that_is_not_a_rule(chain2):
+    bad = "(sent1 & sent1) -> int1 ; (sent3 & int1) -> hypothesis"
+    with pytest.raises(ProofCheckError, match="^sent1 is not a rule$"):
+        check_proof(chain2, parse_statement("Bob is smart."), LABEL_TRUE, bad)
+
+
 def test_check_proof_rejects_unsorted_fact_ids(conj):
     with pytest.raises(ProofCheckError):
         check_proof(

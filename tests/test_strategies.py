@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rulechain.strategies as strategies_module
-from rulechain.datagen import GenConfig, generate_dataset
+from rulechain.datagen import GenConfig, generate_dataset, instance_from_json
+from rulechain.jsonlio import read_jsonl
 from rulechain.reasoner import (
     Binding,
     FactStore,
@@ -33,12 +34,14 @@ from rulechain.theory import (
     QUANT_PEOPLE,
     QUANT_THINGS,
     Var,
+    negate,
     parse_statement,
     parse_theory,
     render,
 )
 
 from grammar_theories import facts, scaling_lines, theories
+from test_golden import GOLDEN, chain_lines, chain_statements
 
 
 def small_instances(seed):
@@ -473,8 +476,65 @@ def test_selection_work_is_linear_in_the_closure(monkeypatch):
     exhaustive = run(theory, statement, ExhaustiveStrategy())
     closure = len(exhaustive.steps)
     assert closure == 40 * 40
-    assert len(calls) <= 2 * closure
+    # every step's fact arrived through the agenda's grounding calls
+    assert closure <= len(calls) <= 2 * closure
     calls.clear()
     goal = run(theory, statement, GoalDirectedStrategy(theory, statement))
     assert goal.stop_reason == "goal_reached"
-    assert len(calls) <= 2 * closure
+    assert len(goal.steps) <= len(calls) <= 2 * closure
+
+
+# ---------------------------------------------------------------------------
+# One compiled theory shared by every run
+# ---------------------------------------------------------------------------
+
+# Both cones hold the one rule, but only Bob's admits "Bob is big."
+SAME_RULES_OTHER_PATTERNS = (
+    ["Bob is red.", "Anne is red.", "If someone is red then they are big."],
+    ["Bob is big.", "Anne is big."],
+)
+
+
+def shared_theory_cases():
+    """(lines, statements) of the golden chain and corpus inputs and of a
+    theory whose cones share their rule ids but not their atoms."""
+    cases = [(chain_lines(), chain_statements()), SAME_RULES_OTHER_PATTERNS]
+    for row in read_jsonl(GOLDEN / "corpus.dataset.jsonl"):
+        inst = instance_from_json(row)
+        lines = [text for _, text in inst.theory.sentences()]
+        cases.append((lines, [q.text for q in inst.questions]))
+    return cases
+
+
+def outcome(theory, statement_text, name, shuffle_seed):
+    statement = parse_statement(statement_text)
+    trace = run(theory, statement, make_strategy(name, theory, statement, shuffle_seed))
+    verdict = solve(statement, trace)
+    return trace.to_json(), verdict.label, verdict.proof
+
+
+@pytest.mark.parametrize("shuffle_seed", [None, 3])
+def test_sharing_the_compiled_theory_changes_nothing(shuffle_seed):
+    """Running every question on one parsed theory, in either order and
+    with both strategies, gives what a fresh parse per run gives."""
+    for lines, statements in shared_theory_cases():
+        fresh = {
+            (text, name): outcome(parse_theory(lines), text, name, shuffle_seed)
+            for text in statements
+            for name in STRATEGY_NAMES
+        }
+        for order in (statements, statements[::-1]):
+            shared = parse_theory(lines)
+            for text in order:
+                for name in STRATEGY_NAMES:
+                    assert outcome(shared, text, name, shuffle_seed) == fresh[text, name], text
+            assert shared.compiled is not None
+
+
+def test_a_statement_and_its_negation_share_one_cone():
+    lines, statements = SAME_RULES_OTHER_PATTERNS
+    theory = parse_theory(lines)
+    bob, anne = map(parse_statement, statements)
+    assert relevance_cone(theory, bob) is relevance_cone(theory, negate(bob))
+    assert relevance_cone(theory, anne).rule_ids == relevance_cone(theory, bob).rule_ids
+    assert relevance_cone(theory, anne) != relevance_cone(theory, bob)
