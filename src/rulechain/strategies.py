@@ -33,10 +33,10 @@ pushes each (rule, entity) pair it completes onto a heap keyed by (rule
 index, entity rank), which is canonical order. Pairs stay applicable and
 conclusions stay stored, so the smallest entry not yet concluded is exactly
 what a rescan of all rules x entities would pick first, at a cost of about
-one grounding per closure fact instead of rules x entities per step; no
-atom is built or hashed in the loop. Passing ``shuffle_rng`` switches to a
-seeded random choice among all live entries (``Agenda.live``); determinism
-then holds per seed.
+one grounding per closure fact instead of rules x entities per step; once
+a pair's numbers are in the tables, selecting and stepping it build and
+hash no atom. Passing ``shuffle_rng`` switches to a seeded random choice
+among all live entries (``Agenda.live``); determinism then holds per seed.
 """
 from __future__ import annotations
 
