@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import random
@@ -53,7 +54,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _default_seed() -> int:
+def _seed(flag: int | None) -> int:
+    """``--seed`` if given, else ``RULECHAIN_SEED``, else 0."""
+    if flag is not None:
+        return flag
     raw = os.environ.get("RULECHAIN_SEED")
     if raw is None:
         return 0
@@ -144,7 +148,9 @@ def _gold_rows(path: str, instances: list):
         raise CliError(f"{path}:{line} (id {e.item_id!r}): {e}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``main`` reuses it on every call."""
     schemas = ", ".join(f"{k}={v}" for k, v in sorted(SCHEMA_VERSIONS.items()))
     parser = _Parser(
         prog="rulechain",
@@ -166,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=GenConfig.target_depths,
         help="target depths, e.g. 0..3 or 1,3,5 or 2,unknown",
     )
-    gen.add_argument("--seed", type=int, default=_default_seed())
+    gen.add_argument("--seed", type=int, default=None)
     gen.add_argument(
         "--preset",
         choices=("d3-like",),
@@ -179,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     pert.add_argument("--out", required=True, help="output equivalence .jsonl")
     pert.add_argument("--mode", choices=MODES, required=True)
     pert.add_argument("--variants", type=int, default=5)
-    pert.add_argument("--seed", type=int, default=_default_seed())
+    pert.add_argument("--seed", type=int, default=None)
 
     sol = sub.add_parser("solve", help="answer one statement against a theory file")
     sol.add_argument("--theory", required=True, help="text file, one sentence per line")
@@ -217,10 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    seed = _seed(args.seed)
     if args.preset == "d3-like":
-        config = d3_like_config(theories=args.theories, seed=args.seed)
+        config = d3_like_config(theories=args.theories, seed=seed)
     else:
-        config = GenConfig(target_depths=args.depths, theories=args.theories, seed=args.seed)
+        config = GenConfig(target_depths=args.depths, theories=args.theories, seed=seed)
     instances = generate_dataset(config)
     write_jsonl(args.out, [instance_to_json(i) for i in instances])
     questions = sum(len(i.questions) for i in instances)
@@ -231,10 +238,11 @@ def _cmd_gen(args) -> int:
 def _cmd_perturb(args) -> int:
     if args.variants < 1:
         raise CliError("--variants must be >= 1")
+    seed = _seed(args.seed)
     instances = _load_instances(args.data)
     rows = []
     for idx, inst in enumerate(instances):
-        rng = random.Random(seed_substream(args.seed, idx))
+        rng = random.Random(seed_substream(seed, idx))
         rows.extend(equivalence_to_rows(perturb(inst, args.mode, rng, args.variants)))
     write_jsonl(args.out, rows)
     print(
@@ -363,8 +371,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as e:  # --help / --version
         code = e.code

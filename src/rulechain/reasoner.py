@@ -1,10 +1,11 @@
 """Forward-chaining inference over a rulebase.
 
 The engine works one hop at a time. A selection strategy picks a rule and a
-binding, ``compose`` produces the ground conclusion, and the store grows by
-exactly that fact. ``run`` drives the loop to a stopping condition and
-returns the trace, which carries the store; ``solve`` reads a three-valued
-verdict off that store under the open-world reading:
+binding, ``step`` reads the ground conclusion off the theory's compiled
+tables, and the store grows by exactly that fact. ``run`` drives the loop to
+a stopping condition and returns the trace, which carries the store;
+``solve`` reads a three-valued verdict off that store under the open-world
+reading:
 
     true     the statement itself was given or derived
     false    the statement's negation was given or derived
@@ -29,7 +30,7 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .theory import (
@@ -178,6 +179,7 @@ class CompiledTheory:
         self._pairs: dict[tuple, int] = {}  # (subject, pred) -> its positive atom's number
         self.given_numbers = [self.number(f.atom) for f in theory.facts]
         self.given_facts = dict(zip(self.given_numbers, theory.facts))
+        self.given_ids = {n: f.id for n, f in self.given_facts.items()}
         self.contradiction = any(n ^ 1 in self.given_facts for n in self.given_facts)
         # (pred, positive) -> rules with such a premise
         self.by_premise: dict[tuple, list[tuple[int, Rule, Atom]]] = {}
@@ -279,38 +281,30 @@ class FactStore:
 
     The theory's ``CompiledTheory`` numbers the atoms; ``by_number`` maps a
     stored atom's number to its fact and ``numbers`` lists the numbers of
-    the given facts, then of each derived fact in order. ``has_atom``,
-    ``fact_for`` and ``add_derived`` take atoms; the engine uses numbers.
+    the given facts, then of each derived fact in order. ``derivations``
+    maps each derived number to (rule id, premise numbers). ``fact_for``
+    takes an atom; the engine uses numbers.
     """
 
     def __init__(self, theory: Theory):
         tables = compile_theory(theory)
-        self.theory = theory
         self.tables = tables
-        self.given: list[Fact] = theory.facts
-        self.derived: list[Fact] = []
-        self.entity_order: list[Entity] = tables.entities
         self.contradiction = tables.contradiction
         self.by_number: dict[int, Fact] = dict(tables.given_facts)
         self.numbers: list[int] = list(tables.given_numbers)
-
-    def has_atom(self, atom: Atom) -> bool:
-        return self.fact_for(atom) is not None
+        self.derivations: dict[int, tuple[str, tuple[int, ...]]] = {}
 
     def fact_for(self, atom: Atom) -> Fact | None:
         return self.by_number.get(self.tables.number(atom))
 
-    def add_derived(self, atom: Atom) -> Fact:
-        return self.derive(self.tables.number(atom))
-
-    def derive(self, n: int) -> Fact:
-        """The new fact ``intN`` for the N-th derived atom, derived at step N."""
-        atom = self.tables.atom(n)
+    def derive(self, n: int, rule_id: str, premises: tuple[int, ...]) -> Fact:
+        """The new fact ``intN`` for the N-th derived atom, derived at step N
+        by rule ``rule_id`` from the atoms numbered ``premises``."""
         if n in self.by_number:
-            raise DuplicateConclusionError(render(atom))
-        index = len(self.derived) + 1
-        fact = Fact(f"int{index}", atom, derived_step=index)
-        self.derived.append(fact)
+            raise DuplicateConclusionError(render(self.tables.atom(n)))
+        self.derivations[n] = (rule_id, premises)
+        index = len(self.derivations)
+        fact = Fact(f"int{index}", self.tables.atom(n), derived_step=index)
         self.by_number[n] = fact
         self.numbers.append(n)
         if n ^ 1 in self.by_number:
@@ -350,11 +344,6 @@ def applicable_bindings(
     return bindings
 
 
-def compose(rule: Rule, binding: Binding) -> Atom:
-    """The ground conclusion this rule yields under this binding."""
-    return substitute(rule.conclusion, binding.entity)
-
-
 def step(store: FactStore, decision: Proceed) -> OneHopStep:
     """Apply one selected inference, growing the store by one fact.
 
@@ -368,7 +357,8 @@ def step(store: FactStore, decision: Proceed) -> OneHopStep:
     binding = decision.binding
     if applicable_bindings(rule, store, (binding.entity,)) != [binding]:
         raise StaleDecisionError(f"{rule.id} does not apply with facts {binding.fact_ids}")
-    fact = store.derive(tables.ground(i, tables.rank_of(rule, binding.entity))[1])
+    premises, conclusion = tables.ground(i, tables.rank_of(rule, binding.entity))
+    fact = store.derive(conclusion, rule.id, premises)
     return OneHopStep(fact.derived_step, rule.id, binding.fact_ids, fact)
 
 
@@ -417,17 +407,18 @@ def solve(statement: Statement, trace: InferenceTrace, steps: int | None = None)
     given only its first ``steps`` steps: a fact derived later does not
     count.
 
-    A verdict is non-unknown exactly when it carries a proof. If the store
+    A verdict is non-unknown exactly when it carries a proof, which is read
+    off the derivations the store recorded as the run stepped. If the store
     is contradictory and holds both the statement and its negation, the
     polarity matching the statement wins.
     """
-    for label, atom in (
-        (LABEL_TRUE, statement.atom),
-        (LABEL_FALSE, statement.atom.negated()),
-    ):
-        fact = trace.store.fact_for(atom)
+    store = trace.store
+    n = store.tables.number(statement.atom)
+    for label, target in ((LABEL_TRUE, n), (LABEL_FALSE, n ^ 1)):
+        fact = store.by_number.get(target)
         if fact is not None and (steps is None or (fact.derived_step or 0) <= steps):
-            return Verdict(label, stitch_proof(trace, fact))
+            proof = canonical_proof_string(target, store.tables.given_ids, store.derivations)
+            return Verdict(label, proof)
     return Verdict(LABEL_UNKNOWN, None)
 
 
@@ -440,16 +431,18 @@ def _id_sort_key(fid: str) -> tuple[int, int]:
 
 
 def canonical_proof_string(
-    target: Atom,
-    given_ids: dict[Atom, str],
-    derivations: dict[Atom, tuple[str, tuple[Atom, ...]]],
+    target: Hashable,
+    given_ids: Mapping[Hashable, str],
+    derivations: Mapping[Hashable, tuple[str, Sequence[Hashable]]],
 ) -> str:
     """Serialize a proof DAG to the canonical one-line form.
 
-    ``given_ids`` maps leaf atoms to their sentence ids; ``derivations``
-    maps every derived atom in the proof to (rule id, premise atoms).
-    A target present in both maps serializes as the derivation; pass an
-    empty ``derivations`` to get the degenerate given form.
+    Atoms are keyed by any hashable handle: the engine and the oracle pass
+    atom numbers, an ``Atom``-keyed reference passes atoms. ``given_ids``
+    maps leaf atoms to their sentence ids; ``derivations`` maps every
+    derived atom in the proof to (rule id, premise atoms), and may hold
+    others. A target present in both maps serializes as the derivation;
+    pass an empty ``derivations`` to get the degenerate given form.
 
     Steps come in a canonical topological order that is a function of the
     DAG alone: each step's derived premises are visited in order of a
@@ -458,9 +451,9 @@ def canonical_proof_string(
     """
     if target not in derivations and target in given_ids:
         return f"{given_ids[target]} -> hypothesis"
-    key_cache: dict[Atom, tuple] = {}
+    key_cache: dict[Hashable, tuple] = {}
 
-    def structural_key(atom: Atom) -> tuple:
+    def structural_key(atom: Hashable) -> tuple:
         cached = key_cache.get(atom)
         if cached is not None:
             return cached
@@ -473,10 +466,10 @@ def canonical_proof_string(
         key_cache[atom] = key
         return key
 
-    order: list[Atom] = []
-    seen: set[Atom] = set()
+    order: list[Hashable] = []
+    seen: set[Hashable] = set()
 
-    def visit(atom: Atom) -> None:
+    def visit(atom: Hashable) -> None:
         if atom in seen:
             return
         seen.add(atom)
@@ -501,32 +494,6 @@ def canonical_proof_string(
         tgt = "hypothesis" if atom == target else f"int{number[atom]}"
         segments.append(f"({rule_id} & {' '.join(labels)}) -> {tgt}")
     return " ; ".join(segments)
-
-
-def stitch_proof(trace: InferenceTrace, target: Fact) -> str:
-    """Extract the canonical proof of ``target`` from a trace's provenance.
-
-    Byte-identical across runs for equal traces; more strongly, a pure
-    function of the underlying proof DAG.
-    """
-    given_by_id = {f.id: f.atom for f in trace.store.given}
-    step_by_id = {s.conclusion.id: s for s in trace.steps}
-
-    given_ids: dict[Atom, str] = {}
-    derivations: dict[Atom, tuple[str, tuple[Atom, ...]]] = {}
-
-    def collect(fid: str) -> Atom:
-        if fid in given_by_id:
-            atom = given_by_id[fid]
-            given_ids[atom] = fid
-            return atom
-        s = step_by_id[fid]
-        atom = s.conclusion.atom
-        if atom not in derivations:
-            derivations[atom] = (s.rule_id, tuple(collect(pid) for pid in s.fact_ids))
-        return atom
-
-    return canonical_proof_string(collect(target.id), given_ids, derivations)
 
 
 _GIVEN_PROOF_RE = re.compile(r"(sent\d+) -> hypothesis")

@@ -63,9 +63,6 @@ class RelevanceCone:
     rule_ids: frozenset[str]
     patterns: frozenset[Atom]
 
-    def admits(self, atom: Atom) -> bool:
-        return atom in self.patterns or Atom(X, atom.pred, atom.positive) in self.patterns
-
 
 def relevance_cone(theory: Theory, statement: Statement) -> RelevanceCone:
     """Close backward from the statement and its negation.

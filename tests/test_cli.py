@@ -293,6 +293,15 @@ class TestEval:
         instances = [dg.instance_from_json(r) for r in read_jsonl(dataset)]
         assert len(read_jsonl(preds_path)) == sum(len(i.questions) for i in instances)
 
+    def test_takes_no_seed_from_the_environment(self, dataset, tmp_path, capsys, monkeypatch):
+        # only gen and perturb read RULECHAIN_SEED, and an explicit --seed wins
+        monkeypatch.setenv("RULECHAIN_SEED", "abc")
+        code, out, err = run_cli(capsys, "eval", "--data", str(dataset))
+        assert code == 0, err
+        assert out.startswith("strategy=goal budget=none")
+        out_path = str(tmp_path / "d.jsonl")
+        assert run_cli(capsys, "gen", "--out", out_path, "--theories", "1", "--seed", "1")[0] == 0
+
     def test_consistency_block_from_equivalence_file(self, dataset, tmp_path, capsys):
         eq = tmp_path / "eq.jsonl"
         assert run_cli(

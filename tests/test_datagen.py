@@ -30,7 +30,7 @@ from rulechain.datagen import (
     perturb,
     seed_substream,
 )
-from rulechain.reasoner import Binding, check_proof, compose, run, solve, substitute
+from rulechain.reasoner import check_proof, run, solve, substitute
 from rulechain.strategies import make_strategy
 from rulechain.theory import (
     Atom,
@@ -581,7 +581,7 @@ def replayed_proof(theory, question, records):
             if Counter(substitute(p, e) for p in rule.premises) == premises
         ]
         fact_ids = tuple(fact_id(i) for i in f["output"])
-        assert c["output"] == render(compose(rule, Binding(entity, fact_ids)))
+        assert c["output"] == render(substitute(rule.conclusion, entity))
         assert stop["facts"][given + k] == c["output"]
         target = "hypothesis" if k == len(rs) - 1 else f"int{k + 1}"
         segments.append(f"({rule.id} & {' '.join(fact_ids)}) -> {target}")

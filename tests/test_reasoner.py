@@ -1,4 +1,5 @@
 """Fact store, one-hop steps, the run loop, verdicts, canonical proofs."""
+import itertools
 import re
 
 import pytest
@@ -23,13 +24,12 @@ from rulechain.reasoner import (
     applicable_bindings,
     check_proof,
     check_proofs,
-    compose,
     run,
     solve,
     step,
-    stitch_proof,
+    substitute,
 )
-from rulechain.strategies import ExhaustiveStrategy, make_strategy
+from rulechain.strategies import STRATEGY_NAMES, ExhaustiveStrategy, make_strategy
 from rulechain.theory import (
     Atom,
     COMMON,
@@ -43,6 +43,7 @@ from rulechain.theory import (
 
 from conftest import FAULTY_AFTER_SHARED, SHARED_LINES, SHARED_PROOF, SHARED_STATEMENT
 from test_golden import GOLDEN
+from test_strategies import shared_theory_cases
 
 CHAIN2_PROOF = "(sent2 & sent1) -> int1 ; (sent3 & int1) -> hypothesis"
 CONJ_PROOF = "(sent2 & sent3 sent4) -> hypothesis"
@@ -60,21 +61,25 @@ def run_exhaustive(theory, statement_text):
 
 def test_store_dedups_and_numbers_derived_facts(chain2):
     store = FactStore(chain2)
-    assert [f.id for f in store.given] == ["sent1"]
-    fact = store.add_derived(Atom(Entity(PROPER, "Bob"), IsAttr("quiet"), True))
+    (given,) = store.numbers
+    assert store.by_number[given].id == "sent1"
+    quiet = store.tables.number(Atom(Entity(PROPER, "Bob"), IsAttr("quiet"), True))
+    fact = store.derive(quiet, "sent2", (given,))
     assert fact.id == "int1"
+    assert store.derivations == {quiet: ("sent2", (given,))}
     with pytest.raises(DuplicateConclusionError):
-        store.add_derived(fact.atom)
+        store.derive(quiet, "sent2", (given,))
 
 
 def test_store_flags_contradictions():
     theory = parse_theory(["Bob is kind.", "Bob is not kind."])
     assert FactStore(theory).contradiction
 
-    theory2 = parse_theory(["Bob is kind."])
+    theory2 = parse_theory(["Bob is kind.", "If Bob is kind then Bob is not kind."])
     store = FactStore(theory2)
     assert not store.contradiction
-    store.add_derived(Atom(Entity(PROPER, "Bob"), IsAttr("kind"), False))
+    not_kind = store.tables.number(Atom(Entity(PROPER, "Bob"), IsAttr("kind"), False))
+    store.derive(not_kind, "sent2", (not_kind ^ 1,))
     assert store.contradiction
 
 
@@ -88,10 +93,10 @@ def test_bindings_follow_first_mention_order():
     )
     rule = theory.rules[0]
     store = FactStore(theory)
-    bindings = applicable_bindings(rule, store, store.entity_order)
+    bindings = applicable_bindings(rule, store, store.tables.entities)
     assert [b.entity.surface for b in bindings] == ["Dave", "Anne"]
     assert [b.fact_ids for b in bindings] == [("sent1",), ("sent2",)]
-    backwards = applicable_bindings(rule, store, store.entity_order[::-1])
+    backwards = applicable_bindings(rule, store, store.tables.entities[::-1])
     assert [b.entity.surface for b in backwards] == ["Anne", "Dave"]
 
 
@@ -106,7 +111,7 @@ def test_people_rules_skip_animals():
     )
     store = FactStore(theory)
     people_rule, things_rule = theory.rules
-    entities = store.entity_order
+    entities = store.tables.entities
     assert [b.entity.surface for b in applicable_bindings(people_rule, store, entities)] == [
         "doctor"
     ]
@@ -128,9 +133,9 @@ def test_ground_rule_yields_at_most_one_binding(conj):
 
 def test_conjunctive_binding_lists_premise_facts_in_premise_order(conj):
     store = FactStore(conj)
-    (binding,) = applicable_bindings(conj.rules[0], store, store.entity_order)
+    (binding,) = applicable_bindings(conj.rules[0], store, store.tables.entities)
     assert binding.fact_ids == ("sent3", "sent4")
-    assert compose(conj.rules[0], binding) == Atom(
+    assert substitute(conj.rules[0].conclusion, binding.entity) == Atom(
         Entity(PROPER, "Dave"), IsAttr("happy"), True
     )
 
@@ -226,9 +231,10 @@ def test_negative_budget_rejected(chain2):
 def test_replay_rebuilds_the_store(chain2):
     _, trace = run_exhaustive(chain2, "Bob is smart.")
     store = trace.store
-    assert store.has_atom(Atom(Entity(PROPER, "Bob"), IsAttr("smart"), True))
-    assert [f.id for f in store.derived] == [s.conclusion.id for s in trace.steps]
-    assert [f.atom for f in store.derived] == trace.conclusions()
+    assert store.fact_for(Atom(Entity(PROPER, "Bob"), IsAttr("smart"), True)) is not None
+    derived = [store.by_number[n] for n in store.derivations]
+    assert [f.id for f in derived] == [s.conclusion.id for s in trace.steps]
+    assert [f.atom for f in derived] == trace.conclusions()
 
 
 def test_trace_json_shape(chain2):
@@ -307,6 +313,36 @@ def test_stitch_ignores_unrelated_steps():
     statement, trace = run_exhaustive(theory, "Bob is quiet.")
     assert trace.composer_calls == 2  # both rules fire at the fixpoint
     assert solve(statement, trace).proof == "(sent3 & sent1) -> hypothesis"
+
+
+def test_the_store_records_the_steps_that_ran():
+    """Each derivation the store records is its step's rule and premise
+    numbers, and at every prefix of a run ``solve`` reads a proof off them
+    that ``check_proof`` accepts and that uses no later step. A repeated
+    given fact is cited by its last sentence id."""
+    repeated = (["Bob is red.", "Bob is red.", "If someone is red then they are big."],
+                ["Bob is big."])
+    for lines, statements in [*shared_theory_cases(), repeated]:
+        theory = parse_theory(lines)
+        for text, name in itertools.product(statements, STRATEGY_NAMES):
+            statement = parse_statement(text)
+            trace = run(theory, statement, make_strategy(name, theory, statement))
+            store = trace.store
+            number = {f.id: n for n, f in store.by_number.items()}
+            assert list(store.derivations.items()) == [
+                (
+                    store.tables.number(s.conclusion.atom),
+                    (s.rule_id, tuple(number[fid] for fid in s.fact_ids)),
+                )
+                for s in trace.steps
+            ]
+            for k in range(len(trace.steps) + 1):
+                verdict = solve(statement, trace, k)
+                if verdict.proof is not None:
+                    check_proof(theory, statement, verdict.label, verdict.proof)
+                    assert verdict.proof.count("->") <= max(k, 1)
+    statement, trace = run_exhaustive(parse_theory(repeated[0]), repeated[1][0])
+    assert solve(statement, trace).proof == "(sent3 & sent2) -> hypothesis"
 
 
 # ---------------------------------------------------------------------------
