@@ -15,9 +15,12 @@ After every run the side's ``.bench_work/<workload>/result.json`` is read.
 The script stops with exit code 1 as soon as a run is not ``correct`` or
 has a failed question, or the two runs of a pair differ in their output
 digests: a wrong result, or a pair that computes different things,
-compares nothing.
+compares nothing. A change that alters some stage's outputs by design
+names those stages with ``--changed-stages``; their digests may then
+differ, and every other stage's must still agree.
 
-The output file holds, per workload and end-to-end metric, each side's
+The output file holds, per workload, the stages whose digests differed,
+and per end-to-end metric each side's
 values in pair order, their median and quartiles, and the number of pairs
 in which the change was better, read by the ``better`` direction that the
 change's ``BENCHMARK.json`` declares. It also records the run length that
@@ -60,6 +63,12 @@ def unsound(result: dict) -> str:
     if result["failed"]:
         return f"{result['failed']} failed questions"
     return ""
+
+
+def differing_stages(pair: dict) -> list[str]:
+    """The stages whose output digests differ between the pair's sides."""
+    base, change = pair["base"]["digests"], pair["change"]["digests"]
+    return sorted(s for s in base.keys() | change.keys() if base.get(s) != change.get(s))
 
 
 def spread(values: list[float]) -> dict:
@@ -122,6 +131,9 @@ def parse_args(argv):
     parser.add_argument("--seconds", type=float, default=None,
                         help="run length (default: the change's BENCHMARK.json run_seconds)")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--changed-stages", default="",
+                        help="comma-separated stages whose output digests the change "
+                             "alters by design (default: none)")
     parser.add_argument("--out", type=Path, required=True, help="summary JSON to write")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -129,6 +141,7 @@ def parse_args(argv):
     args.workloads = [w for w in args.workloads.split(",") if w]
     if not args.workloads:
         parser.error("--workloads must name at least one workload")
+    args.changed_stages = sorted({s for s in args.changed_stages.split(",") if s})
     return args
 
 
@@ -149,9 +162,11 @@ def main(argv=None) -> int:
                     print(f"error: pair {i + 1} of {workload}: the {side} run's {why}",
                           file=sys.stderr)
                     return 1
-            if pair["base"]["digests"] != pair["change"]["digests"]:
-                print(f"error: pair {i + 1} of {workload}: the two sides' digests differ",
-                      file=sys.stderr)
+            differing = differing_stages(pair)
+            unexpected = [s for s in differing if s not in args.changed_stages]
+            if unexpected:
+                print(f"error: pair {i + 1} of {workload}: the two sides' digests differ "
+                      f"in {', '.join(unexpected)}", file=sys.stderr)
                 return 1
             results[workload].append(pair)
             print(f"pair {i + 1}/{args.pairs} {workload} done", file=sys.stderr)
@@ -161,6 +176,7 @@ def main(argv=None) -> int:
         "seconds": results[args.workloads[0]][0]["change"]["seconds"],
         "seed": args.seed,
         "order": "base first in odd-numbered pairs, change first in even-numbered ones",
+        "changed_stages": args.changed_stages,
         **{side: commit(path) for side, path in checkouts.items()},
         "machine": {
             **results[args.workloads[0]][0]["change"]["machine"],
@@ -170,6 +186,9 @@ def main(argv=None) -> int:
         "workloads": {
             w: {
                 "digests": pairs[0]["change"]["digests"],
+                "differing_stages": sorted(
+                    {s for pair in pairs for s in differing_stages(pair)}
+                ),
                 "correct": pairs[0]["change"]["correct"],
                 "failed": pairs[0]["change"]["failed"],
                 "metrics": summarise(pairs, better),

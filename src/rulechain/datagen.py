@@ -963,6 +963,16 @@ def equivalence_from_row(row: dict) -> tuple[str, int, RenamingMap, Instance]:
 # Training records
 # ---------------------------------------------------------------------------
 
+def _may_contradict(theory: Theory) -> bool:
+    """Whether some predicate appears in both polarities among the given
+    facts and the rule conclusions, whatever the subjects. Grounding keeps
+    an atom's predicate and polarity, so a theory without such a pair has
+    a closure that holds no atom together with its negation."""
+    keys = {(f.atom.pred, f.atom.positive) for f in theory.facts}
+    keys.update((r.conclusion.pred, r.conclusion.positive) for r in theory.rules)
+    return any((pred, not positive) in keys for pred, positive in keys)
+
+
 def emit_training_records(instance: Instance) -> dict[str, list[dict]]:
     """Per-question supervision records for the three learned roles.
 
@@ -979,7 +989,7 @@ def emit_training_records(instance: Instance) -> dict[str, list[dict]]:
     Raises GoldProofError for a contradictory theory or for a ``proofs[0]``
     that fails ``check_proof``.
     """
-    if gold_closure(instance.theory).contradiction:
+    if _may_contradict(instance.theory) and gold_closure(instance.theory).contradiction:
         raise GoldProofError(instance, instance.id, "the theory is contradictory")
     rule_texts = [render(r) for r in instance.theory.rules]
     rule_index = {r.id: i for i, r in enumerate(instance.theory.rules)}

@@ -74,9 +74,10 @@ class ProofCheckError(ValueError):
     """A proof string that does not validate against its theory."""
 
 
-def substitute(atom: Atom, entity: Entity | None) -> Atom:
+def substitute(atom: Atom, entity: Entity | Var | None) -> Atom:
     """Ground an atom by replacing its variable (if any) with ``entity``.
-    The grammar puts the variable in subject position only."""
+    The grammar puts the variable in subject position only; substituting
+    the variable ``X`` for itself leaves the atom as written."""
     if not isinstance(atom.subject, Var):
         return atom
     if entity is None:
@@ -192,12 +193,13 @@ class CompiledTheory:
         self._anyone: dict[int, int] = {}
 
     @functools.cached_property
-    def by_conclusion(self) -> dict[tuple, list[Rule]]:
-        """(pred, positive) -> rules with such a conclusion; only relevance
-        cones read it."""
-        found: dict[tuple, list[Rule]] = {}
-        for rule in self.rules:
-            found.setdefault((rule.conclusion.pred, rule.conclusion.positive), []).append(rule)
+    def by_conclusion(self) -> dict[tuple, list[tuple[int, Rule]]]:
+        """(pred, positive) -> (index, rule) of the rules with such a
+        conclusion; only relevance cones read it."""
+        found: dict[tuple, list[tuple[int, Rule]]] = {}
+        for i, rule in enumerate(self.rules):
+            key = (rule.conclusion.pred, rule.conclusion.positive)
+            found.setdefault(key, []).append((i, rule))
         return found
 
     def number(self, atom: Atom) -> int:
@@ -229,12 +231,14 @@ class CompiledTheory:
 
     def ground(self, i: int, rank: int) -> tuple[tuple[int, ...], int]:
         """The premise numbers and conclusion number of rule ``i`` with its
-        variable bound to the entity of this rank."""
+        variable bound to the entity of this rank. Rank -1 keeps the atoms
+        as written: a ground rule's one binding, or a quantified rule's
+        variable left unbound, as a relevance cone reads it."""
         key = (i, rank)
         found = self._ground.get(key)
         if found is None:
             rule = self.rules[i]
-            entity = None if rank < 0 else self.entities[rank]
+            entity = X if rank < 0 else self.entities[rank]
             found = self._ground[key] = (
                 tuple(self.number(substitute(p, entity)) for p in rule.premises),
                 self.number(substitute(rule.conclusion, entity)),

@@ -15,12 +15,18 @@ select.
   whose ground conclusion the cone admits are fired. Selection stops when
   the cone offers nothing new.
 
-Cone entries are atoms. A rule's variable subject stays the variable, and a
-variable-subject atom admits that predicate and polarity about any subject.
-This over-approximates relevance, which keeps the goal strategy complete:
-every derivation of the statement (or its negation) lies inside the cone,
-so both strategies always agree on the verdict; the goal trace is a
-subsequence of the exhaustive closure and never takes more one-hop steps.
+Cone entries are atom numbers, and a cone's subjects are bound: a rule whose
+variable conclusion meets a cone atom about an entity joins the cone
+grounded at that entity, so a question about Bob admits Bob's premises and
+no one else's. Only a premise variable that the conclusion leaves unbound,
+as in "If someone is red then Bob is blue.", keeps the variable subject,
+which admits that predicate and polarity about any subject. This still
+over-approximates relevance, which keeps the goal strategy complete: every
+derivation of the statement (or its negation) lies inside the cone, so both
+strategies always agree on the verdict; the goal trace is a subsequence of
+the exhaustive closure and never takes more one-hop steps. The cone is
+closed backward, so every premise of an admitted (rule, entity) pair is in
+it too, and the goal agenda skips an arriving fact outside the cone at once.
 
 Both strategies select from an ``Agenda``, one per store, over tables that
 every run on the theory shares (``reasoner.CompiledTheory``, built once per
@@ -52,16 +58,20 @@ from .reasoner import (
     applicable_bindings,
     compile_theory,
 )
-from .theory import X, Atom, Statement, Theory
+from .theory import Statement, Theory, Var
 
 
 @dataclass
 class RelevanceCone:
-    """Rules and atoms backward-reachable from a statement. An atom with the
-    variable subject stands for that predicate and polarity about anyone."""
+    """Rules and atoms backward-reachable from a statement, the atoms as
+    numbers of the theory's compiled tables. An atom about an entity admits
+    only that entity's fact; an atom with the variable subject, left where
+    a rule's conclusion does not bind a premise variable, stands for that
+    predicate and polarity about anyone. ``Agenda`` admits a conclusion,
+    and lets an arriving fact ground rules, only if the cone admits it."""
 
     rule_ids: frozenset[str]
-    patterns: frozenset[Atom]
+    numbers: frozenset[int]
 
 
 def relevance_cone(theory: Theory, statement: Statement) -> RelevanceCone:
@@ -69,32 +79,48 @@ def relevance_cone(theory: Theory, statement: Statement) -> RelevanceCone:
 
     Seed with both polarities of the statement; whenever a rule's conclusion
     unifies with a cone atom (same predicate and polarity, and equal
-    subjects unless one is the variable), admit the rule and its premises.
-    A worklist hands each new atom to the rules of its conclusion key, so
-    the least fixpoint is reached without rescanning every rule per pass.
-    The cone is kept on the theory's compiled tables, one per statement
-    subject and predicate, since both polarities seed the same cone.
+    subjects unless one is the variable), admit the rule and its premises
+    under that unifier. A variable conclusion that meets an atom about
+    entity e grounds the rule at e, so its premises are about e; an entity
+    the rule cannot bind admits nothing. Otherwise the premises stay as
+    written, and a premise variable that the conclusion leaves unbound
+    stands for anyone. A worklist hands each new atom to the rules of its
+    conclusion key, and each (rule, entity) grounding is walked once, so the
+    least fixpoint is reached without rescanning every rule per pass. The
+    cone is kept on the theory's compiled tables, one per statement subject
+    and predicate, since both polarities seed the same cone.
     """
     tables = compile_theory(theory)
     key = (statement.atom.subject, statement.atom.pred)
     cone = tables.cones.get(key)
     if cone is not None:
         return cone
-    work = [statement.atom, statement.atom.negated()]
-    patterns: set[Atom] = set(work)
-    rule_ids: set[str] = set()
+    n = tables.number(statement.atom)
+    work = [n, n ^ 1]
+    numbers = set(work)
+    walked: set[tuple[int, int]] = set()  # (rule index, entity rank)
     while work:
-        atom = work.pop()
-        for rule in tables.by_conclusion.get((atom.pred, atom.positive), ()):
-            subjects = (rule.conclusion.subject, atom.subject)
-            if rule.id in rule_ids or (subjects[0] != subjects[1] and X not in subjects):
+        atom = tables.atom(work.pop())
+        subject = atom.subject
+        for i, rule in tables.by_conclusion.get((atom.pred, atom.positive), ()):
+            head = rule.conclusion.subject
+            if isinstance(head, Var) and not isinstance(subject, Var):
+                rank = tables.rank_of(rule, subject)
+                if rank is None:
+                    continue
+            elif isinstance(subject, Var) or head == subject:
+                rank = -1
+            else:
                 continue
-            rule_ids.add(rule.id)
-            for premise in rule.premises:
-                if premise not in patterns:
-                    patterns.add(premise)
-                    work.append(premise)
-    cone = tables.cones[key] = RelevanceCone(frozenset(rule_ids), frozenset(patterns))
+            if (i, rank) in walked:
+                continue
+            walked.add((i, rank))
+            for p in tables.ground(i, rank)[0]:
+                if p not in numbers:
+                    numbers.add(p)
+                    work.append(p)
+    rule_ids = frozenset(tables.rules[i].id for i, _ in walked)
+    cone = tables.cones[key] = RelevanceCone(rule_ids, frozenset(numbers))
     return cone
 
 
@@ -106,9 +132,6 @@ class Agenda:
     def __init__(self, store: FactStore, cone: RelevanceCone | None = None):
         self.store = store
         self.cone = cone
-        # the numbers of the cone's atoms; a conclusion is admitted when its
-        # own number or its any-subject number is among them
-        self._admitted = None if cone is None else set(map(store.tables.number, cone.patterns))
         self._heap: list[tuple[int, int, int, Proceed]] = []
         self._pushed: set[tuple[int, int]] = set()
         self._seen = 0  # store.numbers already read
@@ -116,8 +139,14 @@ class Agenda:
     def _arrive(self, n: int) -> None:
         """Push every (rule, entity) pair the fact of atom number ``n``
         completes."""
-        store, cone, admitted = self.store, self.cone, self._admitted
+        store, cone = self.store, self.cone
         tables = store.tables
+        # an atom is admitted when its own number or its any-subject number
+        # is among the cone's; the cone is closed backward, so a fact outside
+        # it is no premise of any pair whose conclusion the cone admits
+        admitted = None if cone is None else cone.numbers
+        if admitted is not None and n not in admitted and tables.anyone(n) not in admitted:
+            return
         for i, rule, entities in tables.arrivals(n):
             if cone is not None and rule.id not in cone.rule_ids:
                 continue

@@ -126,6 +126,12 @@ def scaling_lines(n_entities, n_rules):
     return lines
 
 
+def reversed_rules(lines):
+    """The 40 x 40 scaling family, whose 40 facts come first, with its rule
+    chain written last rule first."""
+    return lines[:40] + lines[40:][::-1]
+
+
 def irrelevant_sentences(
     theory: Theory, rng: random.Random, n_facts: int = 1, n_rules: int = 1
 ) -> list[str]:

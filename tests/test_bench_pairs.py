@@ -58,7 +58,29 @@ def test_pairs_that_compute_different_things_are_named(monkeypatch, tmp_path, ca
     argv = ["--base", str(tmp_path), "--change", str(change), "--workloads", "proofs",
             "--out", str(out)]
     assert bench_pairs.main(argv) == 1
-    assert "pair 1 of proofs: the two sides' digests differ" in capsys.readouterr().err
+    assert "pair 1 of proofs: the two sides' digests differ in gen" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stages_changed_by_design_may_differ_and_no_other(monkeypatch, tmp_path, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    base, changed = result(1, 2), result(5, 6)
+    base["digests"]["eval_goal"] = {"pred_goal": "a"}
+    changed["digests"]["eval_goal"] = {"pred_goal": "b"}
+    sides = {tmp_path: base, change: changed}
+    monkeypatch.setattr(bench_pairs, "run_side", lambda checkout, *args: sides[checkout])
+    out = tmp_path / "bench.json"
+    argv = ["--base", str(tmp_path), "--change", str(change), "--workloads", "proofs",
+            "--pairs", "1", "--out", str(out)]
+    assert bench_pairs.main([*argv, "--changed-stages", "eval_goal,sweep"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["changed_stages"] == ["eval_goal", "sweep"]
+    assert doc["workloads"]["proofs"]["differing_stages"] == ["eval_goal"]
+    out.unlink()
+    changed["digests"]["gen"] = {"dataset": "e"}
+    assert bench_pairs.main([*argv, "--changed-stages", "eval_goal"]) == 1
+    assert "digests differ in gen" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rulechain.datagen as datagen_module
 from rulechain import vocab
 from rulechain.datagen import (
     ContradictionError,
     GenConfig,
     GenerationError,
+    GoldProofError,
     Instance,
     PoolExhaustedError,
     Question,
@@ -44,6 +46,7 @@ from rulechain.theory import (
 )
 
 from conftest import diamond_ladder_lines
+from grammar_theories import theories
 from grammar_theories import extend_theory, irrelevant_sentences
 
 
@@ -623,6 +626,46 @@ def test_training_counts_follow_gold_steps():
         assert len(records["rs"]) == steps + len(inst.questions)
         assert len(records["fs"]) == steps
         assert len(records["kc"]) == steps
+
+
+def test_training_skips_the_closure_only_where_no_contradiction_can_arise(monkeypatch):
+    """A contradiction needs a predicate in both polarities among the given
+    facts and the rule conclusions; without one ``emit_training_records``
+    runs no closure, and with one it runs the closure to decide."""
+    closures = []
+    original = datagen_module.gold_closure
+
+    def counting(theory):
+        closures.append(theory.id)
+        return original(theory)
+
+    monkeypatch.setattr(datagen_module, "gold_closure", counting)
+    cases = {
+        "one_polarity": ["Bob is blue.", "If someone is blue then they are not kind."],
+        "both_but_apart": ["Bob is kind.", "Anne is blue.", "If Anne is blue then Anne is not red."],
+        "both_consistent": ["Bob is kind.", "Anne is blue.", "If Anne is blue then Anne is not kind."],
+    }
+    for name, lines in cases.items():
+        records = emit_training_records(Instance(name, parse_theory(lines, name), []))
+        assert len(records["rs"]) == 0
+    assert closures == ["both_consistent"]
+    clashing = ["Bob is kind.", "Bob is blue.", "If someone is blue then they are not kind."]
+    with pytest.raises(GoldProofError, match="contradictory"):
+        emit_training_records(Instance("clash", parse_theory(clashing, "clash"), []))
+    assert closures == ["both_consistent", "clash"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=theories())
+def test_training_rejects_exactly_the_contradictory_theories(lines):
+    theory = parse_theory(lines)
+    contradictory = gold_closure(theory).contradiction
+    try:
+        emit_training_records(Instance("t", theory, []))
+    except GoldProofError:
+        assert contradictory
+    else:
+        assert not contradictory
 
 
 # ---------------------------------------------------------------------------

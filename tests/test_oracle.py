@@ -41,7 +41,7 @@ from rulechain.theory import (
 )
 
 from conftest import diamond_ladder_lines
-from grammar_theories import facts, scaling_lines, theories
+from grammar_theories import facts, reversed_rules, scaling_lines, theories
 from test_golden import diamond_lines, diamond_statements
 
 
@@ -357,12 +357,6 @@ def test_gold_proofs_match_the_reference_on_diamond_ladders(layers):
     assert levels[-1] == parse_statement(top)
     assert_gold_matches_the_reference(theory, closure, levels)
     assert assign_gold(theory, levels[-1], closure).proofs_truncated == (layers >= 7)
-
-
-def reversed_rules(lines):
-    """The 40 x 40 scaling family, whose 40 facts come first, with its rule
-    chain written last rule first."""
-    return lines[:40] + lines[40:][::-1]
 
 
 @pytest.mark.parametrize("order", [list, reversed_rules], ids=["chain_order", "reversed"])

@@ -16,6 +16,7 @@ from rulechain.reasoner import (
     STOP,
     STOP_FIXPOINT,
     STOP_STRATEGY,
+    compile_theory,
     run,
     solve,
     step,
@@ -41,7 +42,7 @@ from rulechain.theory import (
     render,
 )
 
-from grammar_theories import facts, scaling_lines, theories
+from grammar_theories import facts, reversed_rules, scaling_lines, theories
 from test_golden import GOLDEN, chain_lines, chain_statements
 
 
@@ -116,19 +117,51 @@ def test_cone_seeds_both_polarities():
     assert cone.rule_ids == {"sent2"}
 
 
-def test_cone_widens_variable_subjects_to_any_subject():
+def test_cone_binds_variable_subjects_to_the_statement_subject():
     theory = parse_theory(
         [
             "Anne is blue.",
+            "Bob is big.",
+            "The cat is blue.",
             "If someone is blue then they are smart.",
         ]
     )
-    # The rule concludes about any person, so it joins the cone even though
-    # the statement names Bob.
-    cone = relevance_cone(theory, parse_statement("Bob is smart."))
-    assert cone.rule_ids == {"sent2"}
-    blue = parse_statement("Anne is blue.").atom
-    assert Atom(X, blue.pred, blue.positive) in cone.patterns
+    # The rule can conclude that Bob is smart, so it joins the cone, but
+    # only bound to Bob: Anne's blueness is no premise of that conclusion.
+    statement = parse_statement("Bob is smart.")
+    cone = relevance_cone(theory, statement)
+    assert cone.rule_ids == {"sent4"}
+    bob_blue = parse_statement("Bob is blue.").atom
+    atoms = cone_atoms(theory, cone)
+    assert bob_blue in atoms
+    assert Atom(X, bob_blue.pred, bob_blue.positive) not in atoms
+    trace = run(theory, statement, GoalDirectedStrategy(theory, statement))
+    assert trace.composer_calls == 0
+    # the rule binds people only, and only entities the theory mentions
+    for text in ("The cat is smart.", "Dave is smart."):
+        assert relevance_cone(theory, parse_statement(text)).rule_ids == set()
+
+
+def test_cone_keeps_premise_variables_the_conclusion_leaves_unbound():
+    theory = parse_theory(
+        [
+            "Anne is kind.",
+            "If something is kind then it is red.",
+            "If someone is red then Bob is blue.",
+            "If someone is blue then they are smart.",
+        ]
+    )
+    statement = parse_statement("Bob is smart.")
+    cone = relevance_cone(theory, statement)
+    assert cone.rule_ids == {"sent2", "sent3", "sent4"}
+    red, kind = (parse_statement(f"Anne is {a}.").atom for a in ("red", "kind"))
+    # anyone's redness makes Bob blue, and anything kind is red
+    atoms = cone_atoms(theory, cone)
+    assert Atom(X, red.pred, red.positive) in atoms
+    assert Atom(X, kind.pred, kind.positive) in atoms
+    trace = run(theory, statement, GoalDirectedStrategy(theory, statement))
+    assert solve(statement, trace).label == "true"
+    assert trace.composer_calls == 3
 
 
 def test_cone_excludes_unreachable_predicates():
@@ -319,10 +352,18 @@ def reference_candidates(store, theory, cone=None):
             conclusion = substitute(rule.conclusion, entity)
             if store.fact_for(conclusion) is not None:
                 continue
-            if cone is not None and not any(matches(a, conclusion) for a in cone.patterns):
+            if cone is not None and not any(
+                matches(a, conclusion) for a in cone_atoms(theory, cone)
+            ):
                 continue
             out.append(Proceed(rule.id, Binding(entity, tuple(f.id for f in premises))))
     return out
+
+
+def cone_atoms(theory, cone):
+    """The atoms of a cone's numbers."""
+    tables = compile_theory(theory)
+    return {tables.atom(n) for n in cone.numbers}
 
 
 def matches(cone_atom, atom):
@@ -335,8 +376,16 @@ def matches(cone_atom, atom):
     )
 
 
-def reference_cone(theory, statement):
-    """The cone by rescanning every rule against every cone atom to fixpoint."""
+def reference_cone(theory, statement, bind=True):
+    """The cone by rescanning every rule against every cone atom to fixpoint.
+    Where a variable conclusion lands on an atom about an entity, ``bind``
+    puts the entity into the premises, or drops the landing if the rule
+    cannot bind it; without ``bind`` every premise stays as written, which
+    is the any-subject cone that binding tightens."""
+    entities = theory.entity_order()
+
+    def can_bind(rule, entity):
+        return entity in entities and (rule.quantifier != QUANT_PEOPLE or entity.is_person)
 
     def can_land(conclusion, atom):
         if (conclusion.pred, conclusion.positive) != (atom.pred, atom.positive):
@@ -350,11 +399,21 @@ def reference_cone(theory, statement):
     while changed:
         changed = False
         for rule in theory.rules:
-            if rule.id in rule_ids or not any(can_land(rule.conclusion, a) for a in atoms):
-                continue
-            rule_ids.add(rule.id)
-            atoms.update(rule.premises)
-            changed = True
+            for atom in list(atoms):
+                if not can_land(rule.conclusion, atom):
+                    continue
+                bound = (
+                    bind
+                    and isinstance(rule.conclusion.subject, Var)
+                    and not isinstance(atom.subject, Var)
+                )
+                if bound and not can_bind(rule, atom.subject):
+                    continue
+                rule_ids.add(rule.id)
+                premises = {substitute(p, atom.subject) if bound else p for p in rule.premises}
+                if not premises <= atoms:
+                    atoms |= premises
+                    changed = True
     return rule_ids, atoms
 
 
@@ -369,7 +428,13 @@ def walk_against_the_rescan(lines, statement_text, schedule, shuffle_seed):
     theory = parse_theory(lines)
     statement = parse_statement(statement_text)
     cone = relevance_cone(theory, statement)
-    assert (cone.rule_ids, cone.patterns) == reference_cone(theory, statement)
+    atoms = cone_atoms(theory, cone)
+    assert (cone.rule_ids, atoms) == reference_cone(theory, statement)
+    # binding tightens the any-subject cone: it keeps no rule and no atom
+    # that the any-subject cone lacks
+    unbound_rules, unbound_atoms = reference_cone(theory, statement, bind=False)
+    assert cone.rule_ids <= unbound_rules
+    assert all(any(matches(u, a) for u in unbound_atoms) for a in atoms)
     goal, anti_goal = statement.atom, statement.atom.negated()
 
     def goal_reached(store):
@@ -478,6 +543,21 @@ def test_selection_work_is_linear_in_the_closure(monkeypatch):
     goal = run(theory, statement, GoalDirectedStrategy(theory, statement))
     assert goal.stop_reason == "goal_reached"
     assert len(goal.steps) <= len(calls) <= 2 * closure
+
+
+@pytest.mark.parametrize("order", [list, reversed_rules], ids=["chain_order", "reversed"])
+@pytest.mark.parametrize("entity", [0, 39])
+def test_goal_work_on_the_scaling_family_follows_the_question(order, entity):
+    """A question about one entity's last attribute needs only that
+    entity's 40-rule chain, whatever the rule order: the bound cone admits
+    no other entity's facts."""
+    theory = parse_theory(order(scaling_lines(40, 40)))
+    subject = theory.facts[entity].atom.subject.surface
+    statement = parse_statement(f"{subject} is zbo.")
+    goal = run(theory, statement, GoalDirectedStrategy(theory, statement))
+    exhaustive = run(theory, statement, ExhaustiveStrategy())
+    assert goal.composer_calls <= 100
+    assert solve(statement, goal).label == solve(statement, exhaustive).label == "true"
 
 
 # ---------------------------------------------------------------------------
