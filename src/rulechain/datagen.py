@@ -147,7 +147,8 @@ class _ProofIndex:
 
     An atom gets a number the first time the search reaches it. Its
     derivations are sorted once, on first visit, by (depth, rule id,
-    sorted rendered premises), and kept as (rule id, premise numbers).
+    sorted rendered premises), and kept as (rule id, premise numbers); a
+    lone derivation needs no sort, so its premises are never rendered.
     ``given`` maps the number of each given atom to its sentence id. Lazy
     because a question usually reaches only a few atoms of its closure.
     It holds the closure's maps rather than the closure, so caching it on
@@ -175,18 +176,18 @@ class _ProofIndex:
     def derivations(self, n: int) -> list[tuple[str, tuple[int, ...]]]:
         derivs = self._sorted.get(n)
         if derivs is None:
-            depth = self._depth
+            found = self._derivations.get(self._atoms[n], ())
+            if len(found) > 1:
+                depth = self._depth
 
-            def key(deriv):
-                rule_id, premises = deriv
-                d = 1 + max((depth[p] for p in premises), default=0)
-                return (d, rule_id, tuple(sorted(render(p) for p in premises)))
+                def key(deriv):
+                    rule_id, premises = deriv
+                    d = 1 + max((depth[p] for p in premises), default=0)
+                    return (d, rule_id, tuple(sorted(render(p) for p in premises)))
 
+                found = sorted(found, key=key)
             derivs = self._sorted[n] = [
-                (rule_id, tuple(map(self.number, premises)))
-                for rule_id, premises in sorted(
-                    self._derivations.get(self._atoms[n], ()), key=key
-                )
+                (rule_id, tuple(map(self.number, premises))) for rule_id, premises in found
             ]
         return derivs
 
@@ -306,23 +307,6 @@ def _proof_assignments(index: _ProofIndex, target: int, limit: int):
     yield from itertools.islice(derive(target, {}, frozenset()), limit)
 
 
-def _assignment_depth(given: dict[int, str], assignment: dict, target: int) -> int:
-    memo: dict[int, int] = {}
-
-    def d(n: int) -> int:
-        if n in given:
-            return 0
-        if n in memo:
-            return memo[n]
-        _, premises = assignment[n]
-        memo[n] = 1 + max(d(p) for p in premises)
-        return memo[n]
-
-    # score the root's own derivation even when the atom is also given
-    _, premises = assignment[target]
-    return 1 + max((d(p) for p in premises), default=0)
-
-
 def _gold_proofs(closure: GoldClosure, target: Atom, cap: int) -> tuple[list[str], bool]:
     """Canonical proof strings of ``target``, minimal depth first, capped,
     and whether the cap or the enumeration limit cut the set.
@@ -339,13 +323,13 @@ def _gold_proofs(closure: GoldClosure, target: Atom, cap: int) -> tuple[list[str
     found: dict[str, int] = {}  # canonical string -> depth
     count = 0
     if root in given:
-        found[canonical_proof_string(root, given, {})] = 0
+        canonical, depth = canonical_proof_string(root, given, {})
+        found[canonical] = depth
         count += 1
     if target in closure.derivations:
         for assignment in _proof_assignments(index, root, hard_limit + 1):
-            canonical = canonical_proof_string(root, given, assignment)
-            if canonical not in found:
-                found[canonical] = _assignment_depth(given, assignment, root)
+            canonical, depth = canonical_proof_string(root, given, assignment)
+            found.setdefault(canonical, depth)
             count += 1
     ordered = sorted(found, key=lambda c: (found[c], c))
     truncated = len(ordered) > cap or count > hard_limit
@@ -364,7 +348,11 @@ def assign_gold(
     is, unknown otherwise. Non-unknown labels carry the enumerated gold
     proof set (canonical strings, minimal depth first, capped) and the
     minimal proof depth; unknown carries no proofs and depth "N/A".
+    ``proof_cap`` must be at least 1, so that a known statement keeps a
+    proof.
     """
+    if proof_cap < 1:
+        raise ValueError(f"proof_cap must be >= 1, got {proof_cap}")
     closure = closure if closure is not None else gold_closure(theory)
     if closure.contradiction:
         raise ContradictionError(theory.id)

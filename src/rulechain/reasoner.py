@@ -23,7 +23,9 @@ strategy found them. A statement that is itself a given fact has the
 degenerate proof "sentK -> hypothesis". ``canonical_proof_string`` is the
 only writer of this form and ``check_proofs`` its only reader, which checks
 a question's whole gold set in one call; ``check_proof`` checks one proof
-through it.
+through it. The writer classifies each premise once, as a leaf or a derived
+step, and writes each step as it numbers it; it returns the proof's depth
+with the string, which ``solve`` drops and gold labelling ranks by.
 """
 from __future__ import annotations
 
@@ -421,7 +423,7 @@ def solve(statement: Statement, trace: InferenceTrace, steps: int | None = None)
     for label, target in ((LABEL_TRUE, n), (LABEL_FALSE, n ^ 1)):
         fact = store.by_number.get(target)
         if fact is not None and (steps is None or (fact.derived_step or 0) <= steps):
-            proof = canonical_proof_string(target, store.tables.given_ids, store.derivations)
+            proof, _ = canonical_proof_string(target, store.tables.given_ids, store.derivations)
             return Verdict(label, proof)
     return Verdict(LABEL_UNKNOWN, None)
 
@@ -438,15 +440,18 @@ def canonical_proof_string(
     target: Hashable,
     given_ids: Mapping[Hashable, str],
     derivations: Mapping[Hashable, tuple[str, Sequence[Hashable]]],
-) -> str:
-    """Serialize a proof DAG to the canonical one-line form.
+) -> tuple[str, int]:
+    """Serialize a proof DAG to the canonical one-line form; return it with
+    the proof's depth.
 
     Atoms are keyed by any hashable handle: the engine and the oracle pass
     atom numbers, an ``Atom``-keyed reference passes atoms. ``given_ids``
     maps leaf atoms to their sentence ids; ``derivations`` maps every
     derived atom in the proof to (rule id, premise atoms), and may hold
     others. A target present in both maps serializes as the derivation;
-    pass an empty ``derivations`` to get the degenerate given form.
+    pass an empty ``derivations`` to get the degenerate given form, of
+    depth 0. A derivation is one deeper than its deepest premise, and a
+    given premise has depth 0.
 
     Steps come in a canonical topological order that is a function of the
     DAG alone: each step's derived premises are visited in order of a
@@ -454,50 +459,64 @@ def canonical_proof_string(
     stable under vocabulary renamings.
     """
     if target not in derivations and target in given_ids:
-        return f"{given_ids[target]} -> hypothesis"
-    key_cache: dict[Hashable, tuple] = {}
+        return f"{given_ids[target]} -> hypothesis", 0
+    # atom -> [depth, rule id, leaf sentence ids in order, derived premises
+    # in visiting order, intN number once written or 0, structural key or
+    # None until a sort needs it]
+    steps: dict[Hashable, list] = {}
 
-    def structural_key(atom: Hashable) -> tuple:
-        cached = key_cache.get(atom)
-        if cached is not None:
-            return cached
-        rule_id, premises = derivations[atom]
-        leaf_ids = sorted(
-            _id_sort_key(given_ids[p]) for p in premises if p in given_ids
-        )
-        sub = tuple(sorted(structural_key(p) for p in premises if p not in given_ids))
-        key = (_id_sort_key(rule_id), tuple(leaf_ids), sub)
-        key_cache[atom] = key
+    def classify(atom: Hashable) -> list:
+        step = steps.get(atom)
+        if step is None:
+            rule_id, premises = derivations[atom]
+            leaves: list[str] = []
+            children: list[list] = []
+            depth = 0
+            for p in premises:
+                sid = given_ids.get(p)
+                if sid is None:
+                    child = classify(p)
+                    children.append(child)
+                    if child[0] > depth:
+                        depth = child[0]
+                else:
+                    leaves.append(sid)
+            if len(leaves) > 1:
+                leaves.sort(key=_id_sort_key)
+            if len(children) > 1:
+                children.sort(key=structural_key)
+            step = steps[atom] = [depth + 1, rule_id, leaves, children, 0, None]
+        return step
+
+    def structural_key(step: list) -> tuple:
+        key = step[5]
+        if key is None:
+            key = step[5] = (
+                _id_sort_key(step[1]),
+                tuple([_id_sort_key(sid) for sid in step[2]]),
+                tuple([structural_key(child) for child in step[3]]),
+            )
         return key
 
-    order: list[Hashable] = []
-    seen: set[Hashable] = set()
-
-    def visit(atom: Hashable) -> None:
-        if atom in seen:
-            return
-        seen.add(atom)
-        _, premises = derivations[atom]
-        derived_children = [p for p in premises if p not in given_ids]
-        for child in sorted(derived_children, key=structural_key):
-            visit(child)
-        order.append(atom)
-
-    visit(target)
-    number = {atom: i + 1 for i, atom in enumerate(order)}
     segments: list[str] = []
-    for atom in order:
-        rule_id, premises = derivations[atom]
-        labels = sorted(
-            (
-                given_ids[p] if p in given_ids else f"int{number[p]}"
-                for p in premises
-            ),
-            key=_id_sort_key,
-        )
-        tgt = "hypothesis" if atom == target else f"int{number[atom]}"
-        segments.append(f"({rule_id} & {' '.join(labels)}) -> {tgt}")
-    return " ; ".join(segments)
+
+    def write(step: list) -> str:
+        """Write the segments of the steps below ``step``, post-order, and
+        return its own segment up to its target."""
+        ints: list[int] = []
+        for child in step[3]:
+            if not child[4]:
+                segments.append(write(child) + f"int{len(segments) + 1}")
+                child[4] = len(segments)
+            ints.append(child[4])
+        if len(ints) > 1:
+            ints.sort()
+        labels = step[2] + [f"int{n}" for n in ints]
+        return f"({step[1]} & {' '.join(labels)}) -> "
+
+    root = classify(target)
+    segments.append(write(root) + "hypothesis")
+    return " ; ".join(segments), root[0]
 
 
 _GIVEN_PROOF_RE = re.compile(r"(sent\d+) -> hypothesis")

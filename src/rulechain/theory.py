@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .vocab import (
     PERSON_NOUNS,
@@ -350,8 +351,7 @@ def negate(statement: Statement) -> Statement:
 # Parsing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     offset: int
 

@@ -166,6 +166,16 @@ def test_proof_cap_truncates_and_flags():
     assert capped.proofs == full.proofs[:2]
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_proof_cap_below_one_is_rejected(cap):
+    """A cap of 0 would label a known statement with no proofs, which
+    ``instance_from_json`` rejects, and a negative cap would slice from the
+    end of the ranked set."""
+    theory = parse_theory(["Bob is red.", "If something is red then it is big."])
+    with pytest.raises(ValueError, match="proof_cap"):
+        assign_gold(theory, parse_statement("Bob is big."), proof_cap=cap)
+
+
 def test_gold_proofs_sorted_by_depth_first():
     theory = parse_theory(
         [

@@ -1,8 +1,12 @@
 """The closure oracle against the engine and against a brute-force reference,
 on theories drawn from the grammar, a generated corpus and the scaling
 family; its gold-proof search against the atom-keyed enumerator it
-replaced, on the same theories and on diamond ladders."""
+replaced, on the same theories and on diamond ladders; the canonical proof
+writer against a three-pass reference writer, on every assignment the
+search enumerates for the grammar's theories and the golden datasets."""
 import itertools
+import re
+from collections.abc import Hashable, Mapping, Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,10 +18,13 @@ from rulechain.datagen import (
     GenConfig,
     GoldAnnotation,
     GoldClosure,
+    _proof_assignments,
     assign_gold,
     generate_dataset,
     gold_closure,
+    instance_from_json,
 )
+from rulechain.jsonlio import read_jsonl
 from rulechain.reasoner import (
     LABEL_FALSE,
     LABEL_TRUE,
@@ -42,7 +49,7 @@ from rulechain.theory import (
 
 from conftest import diamond_ladder_lines
 from grammar_theories import facts, reversed_rules, scaling_lines, theories
-from test_golden import diamond_lines, diamond_statements
+from test_golden import DATASETS, GOLDEN, diamond_lines, diamond_statements
 
 
 def _ground(atom, entity):
@@ -167,16 +174,92 @@ def reference_assignment_depth(closure, assignment, target):
     return d(target)
 
 
+# the reference's own copy, so that it shares no code with the writer it checks
+def _id_sort_key(fid: str) -> tuple[int, int]:
+    m = re.fullmatch(r"(sent|int)(\d+)", fid)
+    if not m:
+        raise ValueError(f"bad fact id {fid!r}")
+    return (0 if m.group(1) == "sent" else 1, int(m.group(2)))
+
+
+def reference_canonical_proof_string(
+    target: Hashable,
+    given_ids: Mapping[Hashable, str],
+    derivations: Mapping[Hashable, tuple[str, Sequence[Hashable]]],
+) -> str:
+    """The canonical one-line form, written in three passes (order, number,
+    labels) over a cache of structural keys; a reference for
+    ``reasoner.canonical_proof_string``, which returns the depth as well.
+
+    Atoms are keyed by any hashable handle. ``given_ids``
+    maps leaf atoms to their sentence ids; ``derivations`` maps every
+    derived atom in the proof to (rule id, premise atoms), and may hold
+    others. A target present in both maps serializes as the derivation;
+    pass an empty ``derivations`` to get the degenerate given form.
+
+    Steps come in a canonical topological order that is a function of the
+    DAG alone: each step's derived premises are visited in order of a
+    structural key built from rule ids and leaf sentence ids, which is
+    stable under vocabulary renamings.
+    """
+    if target not in derivations and target in given_ids:
+        return f"{given_ids[target]} -> hypothesis"
+    key_cache: dict[Hashable, tuple] = {}
+
+    def structural_key(atom: Hashable) -> tuple:
+        cached = key_cache.get(atom)
+        if cached is not None:
+            return cached
+        rule_id, premises = derivations[atom]
+        leaf_ids = sorted(
+            _id_sort_key(given_ids[p]) for p in premises if p in given_ids
+        )
+        sub = tuple(sorted(structural_key(p) for p in premises if p not in given_ids))
+        key = (_id_sort_key(rule_id), tuple(leaf_ids), sub)
+        key_cache[atom] = key
+        return key
+
+    order: list[Hashable] = []
+    seen: set[Hashable] = set()
+
+    def visit(atom: Hashable) -> None:
+        if atom in seen:
+            return
+        seen.add(atom)
+        _, premises = derivations[atom]
+        derived_children = [p for p in premises if p not in given_ids]
+        for child in sorted(derived_children, key=structural_key):
+            visit(child)
+        order.append(atom)
+
+    visit(target)
+    number = {atom: i + 1 for i, atom in enumerate(order)}
+    segments: list[str] = []
+    for atom in order:
+        rule_id, premises = derivations[atom]
+        labels = sorted(
+            (
+                given_ids[p] if p in given_ids else f"int{number[p]}"
+                for p in premises
+            ),
+            key=_id_sort_key,
+        )
+        tgt = "hypothesis" if atom == target else f"int{number[atom]}"
+        segments.append(f"({rule_id} & {' '.join(labels)}) -> {tgt}")
+    return " ; ".join(segments)
+
+
+
 def reference_gold_proofs(closure, target, cap):
     hard_limit = max(8 * cap, 256)
     found = {}
     count = 0
     if target in closure.given:
-        found[canonical_proof_string(target, closure.given, {})] = 0
+        found[reference_canonical_proof_string(target, closure.given, {})] = 0
         count += 1
     if target in closure.derivations:
         for assignment in reference_proof_assignments(closure, target, hard_limit + 1):
-            canonical = canonical_proof_string(target, closure.given, assignment)
+            canonical = reference_canonical_proof_string(target, closure.given, assignment)
             if canonical not in found:
                 found[canonical] = reference_assignment_depth(closure, assignment, target)
             count += 1
@@ -197,6 +280,8 @@ def reference_assign_gold(closure, statement, cap):
 
 
 PROOF_CAPS = (1, 2, 64)
+# ``_gold_proofs``' enumeration limit at the default cap
+HARD_LIMIT = max(8 * 64, 256)
 
 
 def closure_statements(closure):
@@ -216,6 +301,31 @@ def assert_gold_matches_the_reference(theory, closure, statements):
             )
 
 
+def assert_writer_matches_the_reference(closure):
+    """The package writer gives each given atom's degenerate proof depth 0,
+    and for every assignment that ``_proof_assignments`` yields for every
+    derived atom, up to the hard limit, the string and the depth of the
+    reference writer and ``reference_assignment_depth``, which read the
+    same assignment keyed by atoms."""
+    index = closure.proof_index
+    for atom in closure.given:
+        written = canonical_proof_string(index.number(atom), index.given, {})
+        assert written == (reference_canonical_proof_string(atom, closure.given, {}), 0)
+    for target in closure.derivations:
+        root = index.number(target)
+        assignments = list(_proof_assignments(index, root, HARD_LIMIT + 1))
+        atom_of = {index.number(a): a for a in [*closure.given, *closure.derived]}
+        for assignment in assignments:
+            by_atom = {
+                atom_of[n]: (rule_id, tuple(atom_of[p] for p in premises))
+                for n, (rule_id, premises) in assignment.items()
+            }
+            assert canonical_proof_string(root, index.given, assignment) == (
+                reference_canonical_proof_string(target, closure.given, by_atom),
+                reference_assignment_depth(closure, by_atom, target),
+            ), render(target)
+
+
 def assert_matches_the_reference(theory):
     closure, reference = gold_closure(theory), reference_gold_closure(theory)
     assert closure.given == reference.given
@@ -232,7 +342,9 @@ def assert_matches_the_reference(theory):
 
 # Hand-picked shapes the drawer may miss: a quantified rule with a ground
 # premise, people rules beside the cat, relations and ground rules; a
-# contradiction among the given facts; one that only a derivation makes.
+# contradiction among the given facts; one that only a derivation makes;
+# steps whose derived premises are listed against their canonical order,
+# deepest first, or differ only in their leaves.
 EXAMPLES = [
     (
         [
@@ -267,6 +379,17 @@ EXAMPLES = [
             "If Bob is red then Bob is not kind.",
         ],
         "Bob is kind.",
+    ),
+    (
+        [
+            "The cat is red.",
+            "Bob is red.",
+            "If something is red then it is big.",
+            "If something is big then it is kind.",
+            "If Bob is big and the cat is big then Anne is happy.",
+            "If something is kind and big then it is smart.",
+        ],
+        "Bob is smart.",
     ),
 ]
 
@@ -318,6 +441,19 @@ def test_engine_agrees_with_the_oracle_on_the_grammar(lines, statement_text):
 @with_examples
 def test_oracle_matches_the_reference_on_the_grammar(lines, statement_text):
     assert_matches_the_reference(parse_theory(lines))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=theories(), statement_text=facts())
+@with_examples
+def test_writer_matches_the_reference_on_the_grammar(lines, statement_text):
+    assert_writer_matches_the_reference(gold_closure(parse_theory(lines)))
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_writer_matches_the_reference_on_the_golden_datasets(name):
+    for row in read_jsonl(GOLDEN / f"{name}.dataset.jsonl"):
+        assert_writer_matches_the_reference(gold_closure(instance_from_json(row).theory))
 
 
 def test_oracle_matches_the_reference_on_a_gen_corpus():
