@@ -191,11 +191,11 @@ def reference_canonical_proof_string(
     labels) over a cache of structural keys; a reference for
     ``reasoner.canonical_proof_string``, which returns the depth as well.
 
-    Atoms are keyed by any hashable handle. ``given_ids``
-    maps leaf atoms to their sentence ids; ``derivations`` maps every
-    derived atom in the proof to (rule id, premise atoms), and may hold
-    others. A target present in both maps serializes as the derivation;
-    pass an empty ``derivations`` to get the degenerate given form.
+    Atoms are keyed by any hashable handle. ``given_ids`` maps leaf atoms
+    to their sentence ids; ``derivations`` maps every derived atom in the
+    proof to (rule id, premise atoms), and may hold others. A target
+    present in both maps serializes as the derivation; pass an empty
+    ``derivations`` to get the degenerate given form.
 
     Steps come in a canonical topological order that is a function of the
     DAG alone: each step's derived premises are visited in order of a
@@ -247,7 +247,6 @@ def reference_canonical_proof_string(
         tgt = "hypothesis" if atom == target else f"int{number[atom]}"
         segments.append(f"({rule_id} & {' '.join(labels)}) -> {tgt}")
     return " ; ".join(segments)
-
 
 
 def reference_gold_proofs(closure, target, cap):
@@ -304,18 +303,17 @@ def assert_gold_matches_the_reference(theory, closure, statements):
 def assert_writer_matches_the_reference(closure):
     """The package writer gives each given atom's degenerate proof depth 0,
     and for every assignment that ``_proof_assignments`` yields for every
-    derived atom, up to the hard limit, the string and the depth of the
+    atom with a derivation, up to the hard limit, the string and depth of the
     reference writer and ``reference_assignment_depth``, which read the
     same assignment keyed by atoms."""
     index = closure.proof_index
+    atom_of = {index.number(a): a for a in [*closure.given, *closure.derived]}
     for atom in closure.given:
         written = canonical_proof_string(index.number(atom), index.given, {})
         assert written == (reference_canonical_proof_string(atom, closure.given, {}), 0)
     for target in closure.derivations:
         root = index.number(target)
-        assignments = list(_proof_assignments(index, root, HARD_LIMIT + 1))
-        atom_of = {index.number(a): a for a in [*closure.given, *closure.derived]}
-        for assignment in assignments:
+        for assignment in _proof_assignments(index, root, HARD_LIMIT + 1):
             by_atom = {
                 atom_of[n]: (rule_id, tuple(atom_of[p] for p in premises))
                 for n, (rule_id, premises) in assignment.items()
