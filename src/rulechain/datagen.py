@@ -791,7 +791,8 @@ def _rename_atom(a: Atom, mapping: dict[str, str]) -> Atom:
 
 def apply_renaming(instance: Instance, renaming: RenamingMap, variant_id: str) -> Instance:
     """The same instance with tokens renamed. Sentence order, ids, labels,
-    depths, and proofs are untouched; proofs refer only to sentence ids."""
+    depths, and proofs are untouched; proofs refer only to sentence ids.
+    The k-th question is named ``<variant_id>-q<k>``, whatever its id."""
     mapping = renaming.mapping
     theory = Theory(
         variant_id,
@@ -806,11 +807,10 @@ def apply_renaming(instance: Instance, renaming: RenamingMap, variant_id: str) -
         ],
     )
     questions = []
-    for q in instance.questions:
+    for j, q in enumerate(instance.questions):
         atom = _rename_atom(q.statement.atom, mapping)
-        suffix = q.id.rsplit("-", 1)[1]
         questions.append(
-            Question(f"{variant_id}-{suffix}", Statement(atom), render(atom), q.annotation)
+            Question(f"{variant_id}-q{j + 1}", Statement(atom), render(atom), q.annotation)
         )
     return Instance(variant_id, theory, questions)
 

@@ -25,13 +25,15 @@ only writer of this form and ``check_proofs`` its only reader, which checks
 a question's whole gold set in one call; ``check_proof`` checks one proof
 through it. The writer classifies each premise once, as a leaf or a derived
 step, and writes each step as it numbers it; it returns the proof's depth
-with the string, which ``solve`` drops and gold labelling ranks by.
+with the string, which ``solve`` drops and gold labelling ranks by. The
+reader works on the compiled tables' atom numbers and composes each step
+through ``CompiledTheory.compose``, which grounds rules through the same
+``ground`` as the engine, so rules are grounded in one place.
 """
 from __future__ import annotations
 
 import functools
 import re
-from collections import Counter
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -125,8 +127,12 @@ class InferenceTrace:
 
     steps: list[OneHopStep]
     stop_reason: str
-    composer_calls: int
     store: "FactStore"
+
+    @property
+    def composer_calls(self) -> int:
+        """One composition per step."""
+        return len(self.steps)
 
     @property
     def contradiction(self) -> bool:
@@ -167,10 +173,12 @@ class CompiledTheory:
     an atom's negation is ``n ^ 1``; ``atom`` gives a number's atom.
     ``ground`` maps a (rule index, entity rank) pair to its premise and
     conclusion numbers and ``arrivals`` maps an atom number to the
-    groundings its fact can complete; both are filled in on first use, so a
-    theory run once pays only for what that run touches. Rank -1 stands for
-    a ground rule's one binding. ``cones`` holds the relevance cones of
-    ``strategies.relevance_cone``, keyed by statement (subject, predicate).
+    groundings its fact can complete; ``compose`` maps a rule index and
+    premise numbers to the conclusion number they compose to. All three are
+    filled in on first use, so a theory run once pays only for what that run
+    touches. Rank -1 stands for a ground rule's one binding. ``cones`` holds
+    the relevance cones of ``strategies.relevance_cone``, keyed by statement
+    (subject, predicate).
     """
 
     def __init__(self, theory: Theory):
@@ -183,6 +191,7 @@ class CompiledTheory:
         self.given_numbers = [self.number(f.atom) for f in theory.facts]
         self.given_facts = dict(zip(self.given_numbers, theory.facts))
         self.given_ids = {n: f.id for n, f in self.given_facts.items()}
+        self.sentence_numbers = {f.id: n for f, n in zip(theory.facts, self.given_numbers)}
         self.contradiction = any(n ^ 1 in self.given_facts for n in self.given_facts)
         # (pred, positive) -> rules with such a premise
         self.by_premise: dict[tuple, list[tuple[int, Rule, Atom]]] = {}
@@ -193,6 +202,7 @@ class CompiledTheory:
         self._ground: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
         self._arrivals: dict[int, list[tuple[int, Rule, Sequence[Entity | None]]]] = {}
         self._anyone: dict[int, int] = {}
+        self._composed: dict[tuple[int, tuple[int, ...]], int | None] = {}
 
     @functools.cached_property
     def by_conclusion(self) -> dict[tuple, list[tuple[int, Rule]]]:
@@ -245,6 +255,28 @@ class CompiledTheory:
                 tuple(self.number(substitute(p, entity)) for p in rule.premises),
                 self.number(substitute(rule.conclusion, entity)),
             )
+        return found
+
+    def compose(self, i: int, premises: tuple[int, ...]) -> int | None:
+        """The conclusion number of rule ``i`` applied to exactly the atoms
+        numbered ``premises``, taken as a multiset, or None when they are
+        not the rule's premises under any binding. A ground rule tries its
+        one binding; only the subjects of the premise atoms can bind a
+        quantified rule's variable, and the first of them, in premise order,
+        that grounds the rule to these premises wins."""
+        key = (i, premises)
+        if key in self._composed:
+            return self._composed[key]
+        rule = self.rules[i]
+        want = sorted(premises)
+        found = None
+        for rank in dict.fromkeys(self.rank_of(rule, self.atom(n).subject) for n in premises):
+            if rank is not None:
+                grounded, conclusion = self.ground(i, rank)
+                if sorted(grounded) == want:
+                    found = conclusion
+                    break
+        self._composed[key] = found
         return found
 
     def anyone(self, n: int) -> int:
@@ -400,12 +432,7 @@ def run(
             reason = STOP_STRATEGY if goal_directed else STOP_FIXPOINT
             break
         steps.append(step(store, decision))
-    return InferenceTrace(
-        steps=steps,
-        stop_reason=reason,
-        composer_calls=len(steps),
-        store=store,
-    )
+    return InferenceTrace(steps=steps, stop_reason=reason, store=store)
 
 
 def solve(statement: Statement, trace: InferenceTrace, steps: int | None = None) -> Verdict:
@@ -551,95 +578,72 @@ def check_proofs(
     proofs claim: "true" (proves the statement) or "false" (proves its
     negation).
 
-    Proofs of one statement share most of their steps, so each distinct
-    step of a call is matched against its rule once: a step is
-    keyed by its rule id and its premises, a given fact by its sentence id
-    and an intermediate by the number of its conclusion atom, which counts
-    the distinct conclusions derived so far in the call. Every segment of
-    every proof still gets all of its own checks, so the result and the
-    first error are those of separate ``check_proof`` calls. Equal
-    conclusions of one call come back as one object; ``evalkit`` relies on
+    Every segment of every proof gets all of its checks, so the result and
+    the first error are those of separate ``check_proof`` calls. Each step
+    is composed on the theory's compiled tables (``CompiledTheory.compose``),
+    on atom numbers, so a step that several proofs of a theory share is
+    matched against its rule once. The returned atoms are the tables' one
+    atom per number: equal atoms are one object, and ``evalkit`` relies on
     this to render each distinct conclusion once, keyed by identity.
     """
     if not forms:
         return []
+    tables = compile_theory(theory)
     if label == LABEL_TRUE:
-        goal = statement.atom
+        goal = tables.number(statement.atom)
     elif label == LABEL_FALSE:
-        goal = statement.atom.negated()
+        goal = tables.number(statement.atom) ^ 1
     else:
         raise ProofCheckError("only true/false verdicts carry proofs")
-    facts_by_id = {f.id: f for f in theory.facts}
-    rules_by_id = {r.id: r for r in theory.rules}
-    # (rule id, premise keys) -> (premise atoms, conclusion, its number)
-    matches: dict = {}
-    numbered: dict[Atom, tuple[int, Atom]] = {}
-    return [
-        _check_form(rules_by_id, goal, facts_by_id, f, matches, numbered) for f in forms
-    ]
+    return [_check_form(tables, goal, f) for f in forms]
 
 
 def _check_form(
-    rules_by_id: dict[str, Rule],
-    goal: Atom,
-    facts_by_id: dict[str, Fact],
-    canonical_form: str,
-    matches: dict,
-    numbered: dict[Atom, tuple[int, Atom]],
+    tables: CompiledTheory, goal: int, canonical_form: str
 ) -> list[tuple[str, list[Atom], Atom]]:
     single = _GIVEN_PROOF_RE.fullmatch(canonical_form)
     if single:
         fid = single.group(1)
-        fact = facts_by_id.get(fid)
-        if fact is None:
+        n = tables.sentence_numbers.get(fid)
+        if n is None:
             raise ProofCheckError(f"{fid} is not a given fact")
-        if fact.atom != goal:
+        if n != goal:
             raise ProofCheckError("given fact does not match the hypothesis")
         return []
 
     segments = canonical_form.split(" ; ")
-    bound: dict[str, Atom] = {}
-    bound_numbers: dict[str, int] = {}  # intN -> its atom's number
+    bound: dict[str, int] = {}  # intN -> its atom's number
     used: set[str] = set()
     steps: list[tuple[str, list[Atom], Atom]] = []
-    for i, seg in enumerate(segments):
+    for k, seg in enumerate(segments):
         m = _STEP_RE.fullmatch(seg)
         if not m:
             raise ProofCheckError(f"malformed step {seg!r}")
         rule_id, fact_part, target_id = m.groups()
         fact_ids = fact_part.split(" ")
-        # an unbound intermediate keeps its id, which no stored key holds
-        key = (rule_id, *[bound_numbers.get(f, f) for f in fact_ids])
-        hit = matches.get(key)
-        if hit is None:
-            rule = rules_by_id.get(rule_id)
-            if rule is None:
-                raise ProofCheckError(f"{rule_id} is not a rule")
+        i = tables.rule_index.get(rule_id)
+        if i is None:
+            raise ProofCheckError(f"{rule_id} is not a rule")
         if len(fact_ids) > 1 and fact_ids != sorted(fact_ids, key=_id_sort_key):
             raise ProofCheckError(f"fact ids out of canonical order in {seg!r}")
-        if hit is None:
-            premise_atoms: list[Atom] = []
-            for fid in fact_ids:
-                if fid.startswith("sent"):
-                    fact = facts_by_id.get(fid)
-                    if fact is None:
-                        raise ProofCheckError(f"{fid} is not a given fact")
-                    premise_atoms.append(fact.atom)
-                else:
-                    if fid not in bound:
-                        raise ProofCheckError(f"{fid} used before it is derived")
-                    premise_atoms.append(bound[fid])
-                    used.add(fid)
-            conclusion = _match_rule(rule, premise_atoms)
-            entry = len(numbered), conclusion
-            number, conclusion = numbered.setdefault(conclusion, entry)
-            matches[key] = premise_atoms, conclusion, number
-        else:
-            # a stored key names a rule, given facts and bound intermediates
-            premise_atoms, conclusion, number = hit
-            premise_atoms = list(premise_atoms)
-            used.update(fact_ids)
-        last = i == len(segments) - 1
+        premises: list[int] = []
+        for fid in fact_ids:
+            if fid.startswith("sent"):
+                n = tables.sentence_numbers.get(fid)
+                if n is None:
+                    raise ProofCheckError(f"{fid} is not a given fact")
+            else:
+                n = bound.get(fid)
+                if n is None:
+                    raise ProofCheckError(f"{fid} used before it is derived")
+                used.add(fid)
+            premises.append(n)
+        if len(premises) != len(tables.rules[i].premises):
+            raise ProofCheckError(f"{rule_id} takes {len(tables.rules[i].premises)} facts")
+        conclusion = tables.compose(i, tuple(premises))
+        if conclusion is None:
+            raise ProofCheckError(f"facts do not match the premises of {rule_id}")
+        last = k == len(segments) - 1
         if target_id == "hypothesis":
             if not last:
                 raise ProofCheckError("hypothesis must be the final step")
@@ -654,30 +658,8 @@ def _check_form(
                     f"intermediates must be numbered in order: got {target_id}, want {expected}"
                 )
             bound[target_id] = conclusion
-            bound_numbers[target_id] = number
-        steps.append((rule_id, premise_atoms, conclusion))
+        steps.append((rule_id, [tables.atom(n) for n in premises], tables.atom(conclusion)))
     dangling = set(bound) - used
     if dangling:
         raise ProofCheckError(f"unused intermediates: {sorted(dangling)}")
     return steps
-
-
-def _match_rule(rule: Rule, premise_atoms: list[Atom]) -> Atom:
-    """Find a substitution under which ``premise_atoms`` are exactly the
-    rule's premises (as a multiset) and return the ground conclusion.
-
-    A quantified rule has a premise whose subject is the variable, so only
-    the subjects of ``premise_atoms`` can bind it.
-    """
-    if len(premise_atoms) != len(rule.premises):
-        raise ProofCheckError(f"{rule.id} takes {len(rule.premises)} facts")
-    want = Counter(premise_atoms)
-    entities: list[Entity | None] = [None]
-    if rule.quantifier != QUANT_NONE:
-        subjects = dict.fromkeys(a.subject for a in premise_atoms)
-        entities = [e for e in subjects if _quantifier_allows(rule, e)]
-    for entity in entities:
-        if Counter(substitute(p, entity) for p in rule.premises) == want:
-            return substitute(rule.conclusion, entity)
-    raise ProofCheckError(f"facts do not match the premises of {rule.id}")
-

@@ -357,19 +357,18 @@ class _Token(NamedTuple):
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z]+|,|\.")
+_STRAY_RE = re.compile(r"[^A-Za-z,.\s]")
+# the words that can follow a fact's subject
+_FACT_VERBS = frozenset({"is", "does"} | set(VERB_BASE_BY_3SG))
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        gap = text[pos : m.start()]
-        if gap.strip():
-            raise ParseError(f"unexpected character {gap.strip()[0]!r}", pos)
-        tokens.append(_Token(m.group(), m.start()))
-        pos = m.end()
-    if text[pos:].strip():
-        raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
+    stray = _STRAY_RE.search(text)
+    if stray:
+        # reported where the whitespace before it starts
+        i = stray.start()
+        raise ParseError(f"unexpected character {text[i]!r}", len(text[:i].rstrip()))
+    tokens = [_Token(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
     if not tokens:
         raise ParseError("empty sentence", 0)
     if tokens[-1].text != ".":
@@ -499,9 +498,7 @@ class _Parser:
     def parse_fact(self, position: int) -> Fact:
         subject = self.np(sentence_initial=True)  # may raise _NoCommit
         nxt = self.peek()
-        if nxt is None or nxt.text not in (
-            {"is", "does"} | set(VERB_BASE_BY_3SG)
-        ):
+        if nxt is None or nxt.text not in _FACT_VERBS:
             raise _NoCommit
         atom = self.clause_body(subject, plural=False)
         self.expect_end()

@@ -12,7 +12,7 @@ import pytest
 
 from rulechain import datagen as dg
 from rulechain.cli import main
-from rulechain.jsonlio import read_jsonl
+from rulechain.jsonlio import read_jsonl, write_jsonl
 from rulechain.reasoner import LABEL_TRUE, ProofCheckError, check_proof
 from rulechain.theory import parse_statement, parse_theory
 
@@ -186,6 +186,28 @@ class TestPerturb:
         parsed = [dg.equivalence_from_row(r) for r in rows]
         assert {base_id for base_id, _, _, _ in parsed} == {"t00001", "t00002"}
         assert "mode=subject" in text
+
+    @pytest.mark.parametrize("ids", [["q"], ["a-q1", "b-q1"]])
+    def test_variants_name_questions_by_position(self, dataset, tmp_path, capsys, ids):
+        """Any question ids load, so perturb takes any: a variant's k-th
+        question is <variant id>-q<k>, distinct within the variant."""
+        (row, *_) = read_jsonl(dataset)
+        row["questions"] = row["questions"][: len(ids)]
+        for question, qid in zip(row["questions"], ids):
+            question["id"] = qid
+        data = tmp_path / "odd-ids.jsonl"
+        write_jsonl(data, [row])
+        eq = tmp_path / "eq.jsonl"
+        code, _, err = run_cli(
+            capsys, "perturb", "--data", str(data), "--out", str(eq),
+            "--mode", "both", "--variants", "2", "--seed", "0",
+        )
+        assert code == 0, err
+        for *_, variant in map(dg.equivalence_from_row, read_jsonl(eq)):
+            want = [f"{variant.id}-q{j}" for j in range(1, len(ids) + 1)]
+            assert [q.id for q in variant.questions] == want
+        code, _, err = run_cli(capsys, "eval", "--data", str(data), "--equivalence", str(eq))
+        assert code == 0, err
 
     def test_variant_count_must_be_positive(self, dataset, tmp_path, capsys):
         code, _, err = run_cli(

@@ -1,12 +1,13 @@
 """Fact store, one-hop steps, the run loop, verdicts, canonical proofs."""
 import itertools
 import re
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
 
-from rulechain import reasoner
 from rulechain.datagen import instance_from_json
-from rulechain.evalkit import inference_pr, predict_instances
+from rulechain.evalkit import build_report, predict_instances
 from rulechain.jsonlio import read_jsonl
 from rulechain.reasoner import (
     Binding,
@@ -24,6 +25,7 @@ from rulechain.reasoner import (
     applicable_bindings,
     check_proof,
     check_proofs,
+    compile_theory,
     run,
     solve,
     step,
@@ -36,12 +38,16 @@ from rulechain.theory import (
     Entity,
     IsAttr,
     PROPER,
+    QUANT_NONE,
+    QUANT_PEOPLE,
+    Rule,
     parse_statement,
     parse_theory,
     render,
 )
 
 from conftest import FAULTY_AFTER_SHARED, SHARED_LINES, SHARED_PROOF, SHARED_STATEMENT
+from grammar_theories import theories
 from test_golden import GOLDEN
 from test_strategies import shared_theory_cases
 
@@ -450,21 +456,102 @@ def test_a_fault_in_reused_steps_is_found_after_a_valid_proof(case):
         check_proofs(theory, statement, LABEL_TRUE, [SHARED_PROOF, faulty])
 
 
-def test_a_gold_set_matches_each_distinct_step_once(monkeypatch):
-    """The capped question of the stacked 10-way diamonds: 64 proofs of
-    four steps each that only a few dozen distinct steps make up."""
+def test_a_gold_set_matches_each_distinct_step_once():
+    """The stacked 10-way diamonds, whose capped question has 64 proofs of
+    four steps each that only a few dozen distinct steps make up: scoring
+    the goal predictions composes each distinct step of the whole report
+    once."""
     (inst,) = golden_instances("diamond")
-    q = max(inst.questions, key=lambda q: len(q.annotation.proofs))
-    ann = q.annotation
-    proofs = check_proofs(inst.theory, q.statement, ann.label, ann.proofs)
-    distinct = {(rule, tuple(premises)) for steps in proofs for rule, premises, _ in steps}
-    assert sum(map(len, proofs)) > 4 * len(distinct)
+    tables = compile_theory(inst.theory)
+    misses = []
 
-    calls = []
-    match_rule = reasoner._match_rule
-    monkeypatch.setattr(
-        reasoner, "_match_rule", lambda *args: calls.append(args) or match_rule(*args)
-    )
-    (prediction,) = [p for p in predict_instances([inst], "goal") if p.question_id == q.id]
-    inference_pr(inst, q, prediction)
-    assert 0 < len(calls) <= len(distinct)
+    class CountingCache(dict):
+        def __setitem__(self, key, value):
+            misses.append(key)
+            super().__setitem__(key, value)
+
+    tables._composed = CountingCache()
+    predictions = predict_instances([inst], "goal")
+    build_report([inst], predictions, "goal")
+
+    forms = {p.question_id: [p.proof] for p in predictions if p.proof is not None}
+    distinct = set()
+    for q in inst.questions:
+        ann = q.annotation
+        for form in [*ann.proofs, *forms.get(q.id, ())]:
+            for rule, premises, _ in check_proof(inst.theory, q.statement, ann.label, form):
+                distinct.add((rule, tuple(premises)))
+    q = max(inst.questions, key=lambda q: len(q.annotation.proofs))
+    capped = check_proofs(inst.theory, q.statement, q.annotation.label, q.annotation.proofs)
+    assert sum(map(len, capped)) > 4 * len(distinct)
+    assert 0 < len(misses) <= len(distinct)
+
+
+# ---------------------------------------------------------------------------
+# Composition on atom numbers against a matcher on atoms
+# ---------------------------------------------------------------------------
+
+def reference_match_rule(rule: Rule, premise_atoms: list[Atom]) -> Atom:
+    """Find a substitution under which ``premise_atoms`` are exactly the
+    rule's premises (as a multiset) and return the ground conclusion.
+
+    A quantified rule has a premise whose subject is the variable, so only
+    the subjects of ``premise_atoms`` can bind it.
+    """
+    if len(premise_atoms) != len(rule.premises):
+        raise ProofCheckError(f"{rule.id} takes {len(rule.premises)} facts")
+    want = Counter(premise_atoms)
+    entities: list[Entity | None] = [None]
+    if rule.quantifier != QUANT_NONE:
+        subjects = dict.fromkeys(a.subject for a in premise_atoms)
+        entities = [e for e in subjects if rule.quantifier != QUANT_PEOPLE or e.is_person]
+    for entity in entities:
+        if Counter(substitute(p, entity) for p in rule.premises) == want:
+            return substitute(rule.conclusion, entity)
+    raise ProofCheckError(f"facts do not match the premises of {rule.id}")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=theories())
+@example(
+    lines=[
+        "The cat is red.",
+        "Bob is red.",
+        "If someone is red and Bob is red and they are big then they are kind.",
+        "If something is red and it is red then Anne is big.",
+        "All red, big people are kind.",
+        "If the cat is red then Bob is big.",
+    ]
+)
+def test_compose_agrees_with_the_reference_matcher_on_the_grammar(lines):
+    """``compose`` on one theory's tables, for every rule, against the
+    rule's premises grounded on each entity of the theory (a people rule
+    on the cat among them), and against each of those with one premise
+    swapped for any atom of a premise's predicate about an entity of the
+    theory, in either polarity: every atom the closure can hold for those
+    predicates, so the wrong entity, a ground premise about someone else
+    and a repeated premise."""
+    theory = parse_theory(lines)
+    tables = compile_theory(theory)
+    for i, rule in enumerate(theory.rules):
+        pool = list(
+            dict.fromkeys(
+                Atom(e, p.pred, positive)
+                for p in rule.premises
+                for e in tables.entities
+                for positive in (True, False)
+            )
+        )
+        for entity in tables.entities:
+            grounded = [substitute(p, entity) for p in rule.premises]
+            cases = [grounded] + [
+                [*grounded[:k], atom, *grounded[k + 1 :]]
+                for k in range(len(grounded))
+                for atom in pool
+            ]
+            for atoms in cases:
+                try:
+                    want = tables.number(reference_match_rule(rule, atoms))
+                except ProofCheckError:
+                    want = None
+                assert tables.compose(i, tuple(map(tables.number, atoms))) == want

@@ -1,4 +1,6 @@
 """Parser and renderer: templates, round-trips, offsets, vocabulary."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,6 +186,21 @@ def test_committed_template_reports_inner_offset():
     with pytest.raises(ParseError) as err:
         parse_sentence("Bob likes.")
     assert err.value.offset == 9
+
+
+@pytest.mark.parametrize(
+    "text, char, offset",
+    [
+        ("Bob is   !cold.", "!", 6),  # after a run of spaces: where the run starts
+        ("?Bob is cold.", "?", 0),
+        ("Bob is cold. \xa0;", ";", 12),
+    ],
+)
+def test_a_stray_character_is_reported_where_the_gap_before_it_starts(text, char, offset):
+    message = f"at offset {offset}: unexpected character {char!r}"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as err:
+        parse_sentence(text)
+    assert err.value.offset == offset
 
 
 def test_missing_period():
