@@ -141,6 +141,8 @@ def parse_args(argv):
     args.workloads = [w for w in args.workloads.split(",") if w]
     if not args.workloads:
         parser.error("--workloads must name at least one workload")
+    if len(set(args.workloads)) != len(args.workloads):
+        parser.error("--workloads must not name a workload twice")
     args.changed_stages = sorted({s for s in args.changed_stages.split(",") if s})
     return args
 

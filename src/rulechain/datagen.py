@@ -981,6 +981,8 @@ def emit_training_records(instance: Instance) -> dict[str, list[dict]]:
         raise GoldProofError(instance, instance.id, "the theory is contradictory")
     rule_texts = [render(r) for r in instance.theory.rules]
     rule_index = {r.id: i for i, r in enumerate(instance.theory.rules)}
+    given_texts = [render(f.atom) for f in instance.theory.facts]
+    given_position = {f.atom: i for i, f in enumerate(instance.theory.facts)}
     rs: list[dict] = []
     fs: list[dict] = []
     kc: list[dict] = []
@@ -993,9 +995,10 @@ def emit_training_records(instance: Instance) -> dict[str, list[dict]]:
                 )
             except ProofCheckError as e:
                 raise GoldProofError(instance, q.id, str(e)) from None
-        facts_so_far = [render(f.atom) for f in instance.theory.facts]
-        position = {f.atom: i for i, f in enumerate(instance.theory.facts)}
+        facts_so_far = list(given_texts)
+        position = dict(given_position)
         for rule_id, premises, conclusion in steps:
+            text = render(conclusion)
             premise_indices = sorted(position[p] for p in premises)
             rs.append(
                 {
@@ -1020,11 +1023,11 @@ def emit_training_records(instance: Instance) -> dict[str, list[dict]]:
                     "question_id": q.id,
                     "rule": rule_texts[rule_index[rule_id]],
                     "facts": [facts_so_far[i] for i in premise_indices],
-                    "output": render(conclusion),
+                    "output": text,
                 }
             )
             position[conclusion] = len(facts_so_far)
-            facts_so_far.append(render(conclusion))
+            facts_so_far.append(text)
         rs.append(
             {
                 "question_id": q.id,

@@ -4,7 +4,8 @@ The pipeline runs a strategy over every question of every instance and
 records, per question, the predicted label, the canonical proof string (or
 None for unknown), the conclusions the engine generated along the way, and
 the composition-call count. The trace of the all-inferences strategy does
-not depend on the question, so it is computed once per theory and shared.
+not depend on the question, so it is computed once per theory and shared;
+a goal trace is shared by a statement and its negation.
 
 Several budgets cost one run per question. ``run`` uses the budget only as
 a stop test, selection never sees it, and shuffle mode draws from its
@@ -110,18 +111,18 @@ def _predict_budgets(
     module docstring)."""
     top = None if None in budgets else max(budgets)
     per_budget: list[list[Prediction]] = [[] for _ in budgets]
-    shared = None
+    # One run, rendered once, per distinct trace: an exhaustive trace
+    # ignores the question, and a statement and its negation share one
+    # cone, one goal stop, one budget and a fresh Random(shuffle_seed).
+    runs: dict = {}
     for q in instance.questions:
-        strategy = make_strategy(strategy_name, instance.theory, q.statement, shuffle_seed)
-        if strategy.goal_directed or shared is None:
+        atom = q.statement.atom
+        key = (atom.subject, atom.pred) if strategy_name == "goal" else None
+        if key not in runs:
+            strategy = make_strategy(strategy_name, instance.theory, q.statement, shuffle_seed)
             trace = run(instance.theory, q.statement, strategy, top)
-            generated = tuple(render(s.conclusion.atom) for s in trace.steps)
-            if not strategy.goal_directed:
-                # Exhaustive traces ignore the question, so one run,
-                # rendered once, serves all.
-                shared = trace, generated
-        else:
-            trace, generated = shared
+            runs[key] = trace, tuple(render(s.conclusion.atom) for s in trace.steps)
+        trace, generated = runs[key]
         for preds, prediction in zip(per_budget, _read_budgets(q, trace, generated, budgets)):
             preds.append(prediction)
     return per_budget

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import islice
 
 from .vocab import (
     PERSON_NOUNS,
@@ -179,15 +179,18 @@ class Rule:
     def __post_init__(self) -> None:
         if not 1 <= len(self.premises) <= 3:
             raise ValueError("a rule has one to three premises")
-        has_var = any(isinstance(p.subject, Var) for p in self.premises)
+        has_var = var_object = False
+        for a in self.premises:
+            if isinstance(a.subject, Var):
+                has_var = True
+            if isinstance(a.pred, Rel) and isinstance(a.pred.obj, Var):
+                var_object = True
         if has_var != (self.quantifier != QUANT_NONE):
             raise ValueError("a rule has a variable premise exactly when it is quantified")
-        if isinstance(self.conclusion.subject, Var) and not has_var:
+        head = self.conclusion
+        if isinstance(head.subject, Var) and not has_var:
             raise ValueError("conclusion variable never bound by a premise")
-        if any(
-            isinstance(a.pred, Rel) and isinstance(a.pred.obj, Var)
-            for a in (*self.premises, self.conclusion)
-        ):
+        if var_object or (isinstance(head.pred, Rel) and isinstance(head.pred.obj, Var)):
             raise ValueError("the variable may only be a subject")
 
 
@@ -256,8 +259,11 @@ class Theory:
         return list(seen)
 
 
+_SENTENCE_ID_RE = re.compile(r"sent(\d+)")
+
+
 def sentence_number(sid: str) -> int:
-    m = re.fullmatch(r"sent(\d+)", sid)
+    m = _SENTENCE_ID_RE.fullmatch(sid)
     if not m:
         raise ValueError(f"bad sentence id {sid!r}")
     return int(m.group(1))
@@ -351,31 +357,34 @@ def negate(statement: Statement) -> Statement:
 # Parsing
 # ---------------------------------------------------------------------------
 
-class _Token(NamedTuple):
-    text: str
-    offset: int
-
-
 _TOKEN_RE = re.compile(r"[A-Za-z]+|,|\.")
 _STRAY_RE = re.compile(r"[^A-Za-z,.\s]")
 # the words that can follow a fact's subject
 _FACT_VERBS = frozenset({"is", "does"} | set(VERB_BASE_BY_3SG))
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _offset(text: str, index: int) -> int:
+    """The character offset of token ``index`` of ``text``. Tokens are
+    plain strings, so an offset is rebuilt from the text, and only for an
+    error."""
+    return next(islice(_TOKEN_RE.finditer(text), index, None)).start()
+
+
+def _tokenize(text: str) -> list[str]:
     stray = _STRAY_RE.search(text)
     if stray:
         # reported where the whitespace before it starts
         i = stray.start()
         raise ParseError(f"unexpected character {text[i]!r}", len(text[:i].rstrip()))
-    tokens = [_Token(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise ParseError("empty sentence", 0)
-    if tokens[-1].text != ".":
-        raise ParseError("sentence must end with a period", tokens[-1].offset)
-    for t in tokens[:-1]:
-        if t.text == ".":
-            raise ParseError("period before end of sentence", t.offset)
+    end = len(tokens) - 1
+    if tokens[end] != ".":
+        raise ParseError("sentence must end with a period", _offset(text, end))
+    first = tokens.index(".")
+    if first != end:
+        raise ParseError("period before end of sentence", _offset(text, first))
     return tokens
 
 
@@ -385,54 +394,56 @@ class _NoCommit(Exception):
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.end = len(self.tokens) - 1  # index of the final period
 
+    def error(self, message: str, index: int) -> ParseError:
+        """A ParseError at token ``index``."""
+        return ParseError(message, _offset(self.text, index))
+
     # -- cursor helpers ----------------------------------------------------
-    def peek(self, ahead: int = 0) -> _Token | None:
+    def peek(self, ahead: int = 0) -> str | None:
         i = self.pos + ahead
         return self.tokens[i] if i <= self.end else None
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         if self.pos > self.end:
-            raise ParseError("sentence ended early", self.tokens[self.end].offset)
+            raise self.error("sentence ended early", self.end)
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, word: str) -> _Token:
+    def expect(self, word: str) -> None:
         tok = self.next()
-        if tok.text != word:
-            raise ParseError(f"expected {word!r}, found {tok.text!r}", tok.offset)
-        return tok
+        if tok != word:
+            raise self.error(f"expected {word!r}, found {tok!r}", self.pos - 1)
 
     def expect_end(self) -> None:
         if self.pos != self.end:
-            tok = self.tokens[self.pos]
-            raise ParseError(f"unexpected trailing {tok.text!r}", tok.offset)
+            raise self.error(f"unexpected trailing {self.tokens[self.pos]!r}", self.pos)
 
     # -- word classes ------------------------------------------------------
     def attribute(self) -> str:
-        tok = self.next()
-        word = tok.text
+        word = self.next()
         if not (word.isalpha() and word.islower()) or word in RESERVED_WORDS:
-            raise ParseError(f"expected an attribute, found {tok.text!r}", tok.offset)
+            raise self.error(f"expected an attribute, found {word!r}", self.pos - 1)
         return word
 
     def more_attributes(self, attrs: list[str]) -> list[str]:
         """Extend ``attrs`` by ", <attr>" items; a sort takes at most three,
         one per rule premise."""
-        while self.peek() and self.peek().text == ",":
+        while self.peek() == ",":
             if len(attrs) == 3:
-                raise ParseError("at most three attributes before the sort", self.peek().offset)
-            self.next()
+                raise self.error("at most three attributes before the sort", self.pos)
+            self.pos += 1
             attrs.append(self.attribute())
         return attrs
 
-    def _initial_attr_candidate(self, tok: _Token) -> str | None:
+    def _initial_attr_candidate(self, tok: str) -> str | None:
         # Sentence-initial attributes are capitalized; normalize to lowercase.
-        word = tok.text.lower()
+        word = tok.lower()
         if word.isalpha() and word not in RESERVED_WORDS:
             return word
         return None
@@ -441,18 +452,15 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise _NoCommit
-        if tok.text == "the" or (sentence_initial and tok.text == "The"):
-            self.next()
-            noun_tok = self.next()
-            noun = noun_tok.text
+        if tok == "the" or (sentence_initial and tok == "The"):
+            self.pos += 1
+            noun = self.next()
             if not (noun.isalpha() and noun.islower()) or noun in RESERVED_WORDS:
-                raise ParseError(
-                    f"expected a common noun, found {noun_tok.text!r}", noun_tok.offset
-                )
+                raise self.error(f"expected a common noun, found {noun!r}", self.pos - 1)
             return Entity(COMMON, noun)
-        if tok.text[:1].isupper() and tok.text.isalpha() and tok.text.lower() not in RESERVED_WORDS:
-            self.next()
-            return Entity(PROPER, tok.text)
+        if tok[:1].isupper() and tok.isalpha() and tok.lower() not in RESERVED_WORDS:
+            self.pos += 1
+            return Entity(PROPER, tok)
         raise _NoCommit
 
     # -- clause bodies -------------------------------------------------------
@@ -460,74 +468,67 @@ class _Parser:
         """Parse everything after a clause subject: copula or verb phrase."""
         tok = self.next()
         cop = "are" if plural else "is"
-        if tok.text == cop:
+        if tok == cop:
             positive = True
-            if self.peek() and self.peek().text == "not":
-                self.next()
+            if self.peek() == "not":
+                self.pos += 1
                 positive = False
             attr = self.attribute()
             return Atom(subject, IsAttr(attr), positive)
-        if not plural and tok.text in VERB_BASE_BY_3SG:
+        if not plural and tok in VERB_BASE_BY_3SG:
             obj = self.np_or_fail()
-            return Atom(subject, Rel(VERB_BASE_BY_3SG[tok.text], obj), True)
-        if plural and tok.text in VERB_3SG:
+            return Atom(subject, Rel(VERB_BASE_BY_3SG[tok], obj), True)
+        if plural and tok in VERB_3SG:
             obj = self.np_or_fail()
-            return Atom(subject, Rel(tok.text, obj), True)
+            return Atom(subject, Rel(tok, obj), True)
         aux = "do" if plural else "does"
-        if tok.text == aux:
+        if tok == aux:
             self.expect("not")
-            verb_tok = self.next()
-            if verb_tok.text not in VERB_3SG:
-                raise ParseError(
-                    f"expected a verb, found {verb_tok.text!r}", verb_tok.offset
-                )
+            verb = self.next()
+            if verb not in VERB_3SG:
+                raise self.error(f"expected a verb, found {verb!r}", self.pos - 1)
             obj = self.np_or_fail()
-            return Atom(subject, Rel(verb_tok.text, obj), False)
-        raise ParseError(f"expected {cop!r} or a verb, found {tok.text!r}", tok.offset)
+            return Atom(subject, Rel(verb, obj), False)
+        raise self.error(f"expected {cop!r} or a verb, found {tok!r}", self.pos - 1)
 
     def np_or_fail(self) -> Entity:
         tok = self.peek()
         try:
             return self.np()
         except _NoCommit:
-            offset = tok.offset if tok else self.tokens[self.end].offset
-            found = tok.text if tok else "end of sentence"
-            raise ParseError(f"expected a name or 'the <noun>', found {found!r}", offset)
+            # np() consumes nothing before giving up
+            index = self.pos if tok is not None else self.end
+            found = tok if tok is not None else "end of sentence"
+            raise self.error(f"expected a name or 'the <noun>', found {found!r}", index)
 
     # -- sentence templates --------------------------------------------------
     def parse_fact(self, position: int) -> Fact:
         subject = self.np(sentence_initial=True)  # may raise _NoCommit
-        nxt = self.peek()
-        if nxt is None or nxt.text not in _FACT_VERBS:
+        if self.peek() not in _FACT_VERBS:
             raise _NoCommit
         atom = self.clause_body(subject, plural=False)
         self.expect_end()
         return Fact(f"sent{position}", atom)
 
     def parse_bare_rule(self, position: int) -> Rule:
-        first = self.peek()
-        if first is None:
-            raise _NoCommit
-        attr0 = self._initial_attr_candidate(first)
+        attr0 = self._initial_attr_candidate(self.tokens[0])
         if attr0 is None:
             raise _NoCommit
-        self.next()
+        self.pos = 1
         attrs = self.more_attributes([attr0])
-        sort_tok = self.peek()
-        if sort_tok is None or sort_tok.text not in (QUANT_PEOPLE, QUANT_THINGS):
+        sort = self.peek()
+        if sort not in (QUANT_PEOPLE, QUANT_THINGS):
             raise _NoCommit
-        self.next()
-        return self.sort_rule_tail(position, attrs, sort_tok.text, FORM_BARE)
+        self.pos += 1
+        return self.sort_rule_tail(position, attrs, sort, FORM_BARE)
 
     def parse_all_rule(self, position: int) -> Rule:
         self.expect("All")
         attrs = self.more_attributes([self.attribute()])
-        sort_tok = self.next()
-        if sort_tok.text not in (QUANT_PEOPLE, QUANT_THINGS):
-            raise ParseError(
-                f"expected 'people' or 'things', found {sort_tok.text!r}", sort_tok.offset
-            )
-        return self.sort_rule_tail(position, attrs, sort_tok.text, FORM_ALL)
+        sort = self.next()
+        if sort not in (QUANT_PEOPLE, QUANT_THINGS):
+            raise self.error(f"expected 'people' or 'things', found {sort!r}", self.pos - 1)
+        return self.sort_rule_tail(position, attrs, sort, FORM_ALL)
 
     def sort_rule_tail(self, position: int, attrs: list[str], sort: str, form: str) -> Rule:
         """Parse "are <attr>." closing an All or bare rule and build the rule."""
@@ -547,31 +548,30 @@ class _Parser:
         self.expect("If")
         quant = QUANT_NONE
         first = self.peek()
-        if first and first.text == "someone":
-            self.next()
+        if first == "someone":
+            self.pos += 1
             quant = QUANT_PEOPLE
             subject: Entity | Var = X
-        elif first and first.text == "something":
-            self.next()
+        elif first == "something":
+            self.pos += 1
             quant = QUANT_THINGS
             subject = X
         else:
             subject = self.np_or_fail()
         premises = [self.clause_body(subject, plural=False)]
         merged = [False]
-        while self.peek() and self.peek().text == "and":
-            and_tok = self.next()
+        while self.peek() == "and":
+            self.pos += 1
             if len(premises) == 3:
-                raise ParseError("a rule has at most three premises", and_tok.offset)
+                raise self.error("a rule has at most three premises", self.pos - 1)
             if self._continuation_ahead():
                 if not isinstance(premises[-1].pred, IsAttr):
-                    raise ParseError(
-                        "attribute continuation after a non-attribute premise",
-                        self.peek().offset,
+                    raise self.error(
+                        "attribute continuation after a non-attribute premise", self.pos
                     )
                 positive = True
-                if self.peek().text == "not":
-                    self.next()
+                if self.peek() == "not":
+                    self.pos += 1
                     positive = False
                 attr = self.attribute()
                 premises.append(Atom(premises[-1].subject, IsAttr(attr), positive))
@@ -595,15 +595,15 @@ class _Parser:
         """A clause after 'and' or 'then': the quantifier's pronoun ('they'
         for people, 'it' for things) with its agreement, or a noun phrase."""
         tok = self.peek()
-        if not (tok and tok.text in ("they", "it")):
+        if tok not in ("they", "it"):
             return self.clause_body(self.np_or_fail(), plural=False)
-        self.next()
+        self.pos += 1
         if quant == QUANT_NONE:
-            raise ParseError(f"{tok.text!r} has no antecedent", tok.offset)
+            raise self.error(f"{tok!r} has no antecedent", self.pos - 1)
         plural = quant == QUANT_PEOPLE
         pronoun = "they" if plural else "it"
-        if tok.text != pronoun:
-            raise ParseError(f"expected {pronoun!r} for this quantifier", tok.offset)
+        if tok != pronoun:
+            raise self.error(f"expected {pronoun!r} for this quantifier", self.pos - 1)
         return self.clause_body(X, plural=plural)
 
     def _continuation_ahead(self) -> bool:
@@ -611,16 +611,15 @@ class _Parser:
         'and'/'then', i.e. a shared-copula attribute continuation."""
         i = 0
         tok = self.peek(i)
-        if tok and tok.text == "not":
+        if tok == "not":
             i += 1
             tok = self.peek(i)
         if tok is None:
             return False
-        word = tok.text
-        if not (word.isalpha() and word.islower()) or word in RESERVED_WORDS:
+        if not (tok.isalpha() and tok.islower()) or tok in RESERVED_WORDS:
             return False
         after = self.peek(i + 1)
-        return after is None or after.text in ("and", "then")
+        return after is None or after in ("and", "then")
 
 
 def parse_sentence(text: str, position: int = 1) -> Fact | Rule:
@@ -630,7 +629,7 @@ def parse_sentence(text: str, position: int = 1) -> Fact | Rule:
     fragment.
     """
     parser = _Parser(text)
-    head = parser.tokens[0].text
+    head = parser.tokens[0]
     if head == "If":
         return parser.parse_if_rule(position)
     if head == "All":

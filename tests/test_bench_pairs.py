@@ -131,3 +131,16 @@ def test_a_workload_list_that_names_none_is_a_usage_error(monkeypatch, tmp_path,
         assert stop.value.code == 2
         assert "--workloads must name at least one workload" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_workload_named_twice_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    """Repeating a workload would put twice the pairs under one key."""
+    monkeypatch.setattr(bench_pairs, "run_side", lambda *args: result(1, 2))
+    out = tmp_path / "bench.json"
+    for workloads in ("proofs,proofs", "corpus,proofs,corpus"):
+        with pytest.raises(SystemExit) as stop:
+            bench_pairs.main(["--base", str(tmp_path), "--change", str(tmp_path),
+                              "--workloads", workloads, "--out", str(out)])
+        assert stop.value.code == 2
+        assert "--workloads must not name a workload twice" in capsys.readouterr().err
+    assert not out.exists()

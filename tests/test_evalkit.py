@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 from rulechain import SCHEMA_VERSIONS
 from rulechain import datagen as dg
 from rulechain import evalkit as ek
+from rulechain.jsonlio import read_jsonl
 from rulechain.reasoner import run, solve
 from rulechain.strategies import make_strategy
 from rulechain.theory import parse_statement, parse_theory, render
 
 from conftest import CHAIN2_LINES, diamond_ladder_lines
-from test_golden import chain_lines, chain_statements
+from test_golden import GOLDEN, chain_lines, chain_statements
 
 # chain2 plus an off-path rule; exhaustive derives one useless conclusion.
 SPUR_LINES = CHAIN2_LINES + ["If someone is blue then they are furry."]
@@ -37,6 +38,18 @@ def make_instance(lines, texts, iid="T0"):
         make_question(theory, text, f"{iid}-q{j + 1}") for j, text in enumerate(texts)
     ]
     return dg.Instance(iid, theory, questions)
+
+
+def count_runs(monkeypatch):
+    """Record the statement of every ``run`` that evalkit makes."""
+    calls = []
+
+    def counting(theory, statement, *args):
+        calls.append(statement)
+        return run(theory, statement, *args)
+
+    monkeypatch.setattr(ek, "run", counting)
+    return calls
 
 
 def pred(qid="q1", label="true", proof=None, generated=(), calls=0, stop="fixpoint"):
@@ -67,6 +80,29 @@ class TestPredict:
         # labels still answered per question
         assert p1.proof == CHAIN2_PROOF
         assert p2.proof == "sent1 -> hypothesis"
+
+    @pytest.mark.parametrize("strategy, runs", [("goal", 42), ("exhaustive", 6)])
+    def test_one_run_per_distinct_trace_on_the_golden_corpus(self, monkeypatch, strategy, runs):
+        """The golden corpus asks 63 questions about 42 distinct statements
+        (subject and predicate) of 6 theories; a statement and its negation
+        share one goal run, and every question of a theory one exhaustive run."""
+        instances = [
+            dg.instance_from_json(row) for row in read_jsonl(GOLDEN / "corpus.dataset.jsonl")
+        ]
+        assert sum(len(inst.questions) for inst in instances) == 63
+        calls = count_runs(monkeypatch)
+        ek.predict_instances(instances, strategy)
+        assert len(calls) == runs
+
+    @pytest.mark.parametrize("shuffle_seed", [None, 7])
+    def test_a_statement_and_its_negation_share_one_goal_run(self, monkeypatch, shuffle_seed):
+        texts = ["Bob is smart.", "Bob is not smart.", "Bob is not quiet.", "Bob is smart."]
+        inst = make_instance(SPUR_LINES, texts)
+        expected = separate_runs(inst, "goal", None, shuffle_seed)
+        calls = count_runs(monkeypatch)
+        assert ek.predict_instances([inst], "goal", None, shuffle_seed) == expected
+        assert [render(s.atom) for s in calls] == ["Bob is smart.", "Bob is not quiet."]
+        assert [p.label for p in expected] == ["true", "false", "false", "true"]
 
     def test_budget_is_passed_through(self):
         inst = make_instance(CHAIN2_LINES, ["Bob is smart."])

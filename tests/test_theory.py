@@ -28,6 +28,9 @@ from rulechain.theory import (
     render,
 )
 
+import reference_parser
+from grammar_theories import facts, if_rules, sort_rules, theories
+
 
 def roundtrip(text: str) -> str:
     return render(parse_sentence(text))
@@ -409,3 +412,132 @@ def test_rule_roundtrip(rule):
     assert parsed.conclusion == rule.conclusion
     assert parsed.quantifier == rule.quantifier
     assert render(parsed) == text
+
+
+# ---------------------------------------------------------------------------
+# The parser against the token-object reference
+# ---------------------------------------------------------------------------
+
+_WORD_RE = re.compile(r"[A-Za-z]+|,|\.")
+# every word the grammar reserves, the two punctuation tokens, and
+# characters outside the alphabet (the last is a non-ASCII letter)
+INSERTED = (*sorted(theory_module.RESERVED_WORDS), ",", ".")
+STRAY = ("!", ";", "3", "'", "\u00e9")
+
+# Every template and clause shape, the longest lists, and both pronouns.
+SEED_SENTENCES = (
+    "Bob is red.",
+    "The cat is not big.",
+    "Anne likes the doctor.",
+    "The doctor does not see Bob.",
+    "If someone is red and big and not kind then they are blue.",
+    "If something likes Bob and it is big then it does not see the cat.",
+    "If someone is red and they do not like the cat then they see Anne.",
+    "If the cat is red then Bob is kind.",
+    "If Bob sees the cat and the cat is red then the cat likes Bob.",
+    "All red, big, kind people are blue.",
+    "Red, big things are kind.",
+    "Kind people are nice.",
+)
+# a neighbour two edits away from the seeds
+TWO_EDITS = ("If someone likes Bob and red then they are big.",)
+
+
+def outcome(parse, *args):
+    """What ``parse(*args)`` returns, or what it raises: type, text, and
+    the message and offset of every ParseError in it."""
+    try:
+        return parse(*args)
+    except TheoryParseError as e:
+        return TheoryParseError, str(e), [(n, err.message, err.offset) for n, err in e.errors]
+    except Exception as e:  # any other exception must match too
+        return type(e), str(e), getattr(e, "message", None), getattr(e, "offset", None)
+
+
+def mutations(text):
+    """Every malformed neighbour of ``text``: one token deleted,
+    duplicated, swapped with the next or case-flipped, one word of
+    INSERTED before a token or at the end, or one STRAY character anywhere."""
+    spans = [m.span() for m in _WORD_RE.finditer(text)]
+    for k, (a, b) in enumerate(spans):
+        tok = text[a:b]
+        yield text[:a] + text[b:]
+        yield text[:b] + " " + tok + text[b:]
+        yield text[:a] + tok[0].swapcase() + tok[1:] + text[b:]
+        if k + 1 < len(spans):
+            c, d = spans[k + 1]
+            yield text[:a] + text[c:d] + text[b:c] + tok + text[d:]
+    for a in [a for a, _ in spans] + [len(text)]:
+        for word in INSERTED:
+            yield text[:a] + word + " " + text[a:]
+    for i in range(len(text) + 1):
+        for ch in STRAY:
+            yield text[:i] + ch + text[i:]
+
+
+def assert_parsers_agree(text):
+    expected = outcome(reference_parser.parse_sentence, text, 3)
+    assert outcome(parse_sentence, text, 3) == expected, text
+    return expected
+
+
+def test_every_mutation_of_the_seed_sentences_parses_as_the_reference_does():
+    """Deterministic and exhaustive over the seed sentences' neighbours. The
+    messages seen must include every error the parser can raise, so every
+    raise site is compared; only "sentence ended early" is never reached,
+    since no reader consumes the final period without raising."""
+    for seed in SEED_SENTENCES:
+        assert isinstance(assert_parsers_agree(seed), (theory_module.Fact, Rule))
+    messages = set()
+    for text in [*(t for seed in SEED_SENTENCES for t in mutations(seed)), *TWO_EDITS]:
+        result = assert_parsers_agree(text)
+        if isinstance(result, tuple):
+            assert result[0] is ParseError, (text, result)
+            messages.add(re.sub(r"'[^']*'|\"[^\"]*\"", "'_'", result[2]))
+    assert messages == {
+        "unexpected character '_'",
+        "sentence must end with a period",
+        "period before end of sentence",
+        "sentence matches no template",
+        "expected '_', found '_'",
+        "unexpected trailing '_'",
+        "expected an attribute, found '_'",
+        "at most three attributes before the sort",
+        "expected a common noun, found '_'",
+        "expected '_' or a verb, found '_'",
+        "expected a verb, found '_'",
+        "expected a name or '_', found '_'",
+        "expected '_' or '_', found '_'",
+        "a rule has at most three premises",
+        "attribute continuation after a non-attribute premise",
+        "'_' has no antecedent",
+        "expected '_' for this quantifier",
+    }, sorted(messages)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), sentence=facts() | if_rules() | sort_rules())
+def test_the_parser_agrees_with_the_reference_on_mutated_grammar_draws(data, sentence):
+    assert_parsers_agree(sentence)
+    texts = list(mutations(sentence))
+    for _ in range(data.draw(st.integers(1, 2))):
+        # a second mutation on top of the first
+        text = data.draw(st.sampled_from(texts))
+        assert_parsers_agree(text)
+        texts = list(mutations(text))
+    for text in ("", "   ", ".", "Bob is red", "Bob, is red.", "If ."):
+        assert_parsers_agree(text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), lines=theories())
+def test_parse_theory_agrees_with_the_reference_on_multi_line_theories(data, lines):
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(0, 3))):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        lines[k] = data.draw(st.sampled_from(list(mutations(lines[k]))))
+    for _ in range(data.draw(st.integers(0, 2))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(("", "  "))))
+    expected = outcome(reference_parser.parse_theory, lines, "T")
+    assert outcome(parse_theory, lines, "T") == expected
+    assert outcome(parse_statement, lines[0]) == outcome(reference_parser.parse_statement, lines[0])
