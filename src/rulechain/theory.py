@@ -393,6 +393,10 @@ class _NoCommit(Exception):
 
 
 class _Parser:
+    """A cursor over one sentence's tokens. No reader consumes the final
+    period without raising (it is no word, attribute, noun, verb or sort),
+    so the cursor and every lookahead stay at or before it."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
@@ -404,13 +408,10 @@ class _Parser:
         return ParseError(message, _offset(self.text, index))
 
     # -- cursor helpers ----------------------------------------------------
-    def peek(self, ahead: int = 0) -> str | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i <= self.end else None
+    def peek(self, ahead: int = 0) -> str:
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> str:
-        if self.pos > self.end:
-            raise self.error("sentence ended early", self.end)
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -450,8 +451,6 @@ class _Parser:
 
     def np(self, sentence_initial: bool = False) -> Entity:
         tok = self.peek()
-        if tok is None:
-            raise _NoCommit
         if tok == "the" or (sentence_initial and tok == "The"):
             self.pos += 1
             noun = self.next()
@@ -497,9 +496,7 @@ class _Parser:
             return self.np()
         except _NoCommit:
             # np() consumes nothing before giving up
-            index = self.pos if tok is not None else self.end
-            found = tok if tok is not None else "end of sentence"
-            raise self.error(f"expected a name or 'the <noun>', found {found!r}", index)
+            raise self.error(f"expected a name or 'the <noun>', found {tok!r}", self.pos)
 
     # -- sentence templates --------------------------------------------------
     def parse_fact(self, position: int) -> Fact:
@@ -614,12 +611,9 @@ class _Parser:
         if tok == "not":
             i += 1
             tok = self.peek(i)
-        if tok is None:
-            return False
         if not (tok.isalpha() and tok.islower()) or tok in RESERVED_WORDS:
             return False
-        after = self.peek(i + 1)
-        return after is None or after in ("and", "then")
+        return self.peek(i + 1) in ("and", "then")
 
 
 def parse_sentence(text: str, position: int = 1) -> Fact | Rule:

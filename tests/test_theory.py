@@ -483,9 +483,9 @@ def assert_parsers_agree(text):
 
 def test_every_mutation_of_the_seed_sentences_parses_as_the_reference_does():
     """Deterministic and exhaustive over the seed sentences' neighbours. The
-    messages seen must include every error the parser can raise, so every
-    raise site is compared; only "sentence ended early" is never reached,
-    since no reader consumes the final period without raising."""
+    messages seen must be every error the parser can raise, so every raise
+    site is compared. The reference's "sentence ended early" is not among
+    them: no reader consumes the final period without raising."""
     for seed in SEED_SENTENCES:
         assert isinstance(assert_parsers_agree(seed), (theory_module.Fact, Rule))
     messages = set()
