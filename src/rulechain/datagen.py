@@ -896,13 +896,15 @@ def instance_from_json(obj: dict) -> Instance:
     """Parse a dataset row; ValueError for a row that does not fit the format."""
     _check_fields(obj, _ROW_FIELDS, "a row")
     sentences = obj["sentences"]
-    ordered = sorted(sentences.items(), key=lambda kv: sentence_number(kv[0]))
-    expected = [f"sent{i + 1}" for i in range(len(ordered))]
-    if [sid for sid, _ in ordered] != expected:
+    ids = [f"sent{i}" for i in range(1, len(sentences) + 1)]
+    if not all(sid in sentences for sid in ids):
+        for sid in sentences:
+            sentence_number(sid)  # a key that is no sentence id at all names itself
         raise ValueError(f"instance {obj['id']}: sentence ids are not dense")
-    if not all(isinstance(text, str) for text in sentences.values()):
+    texts = [sentences[sid] for sid in ids]
+    if not all(isinstance(text, str) for text in texts):
         raise ValueError(f"instance {obj['id']}: sentences must be strings")
-    theory = parse_theory([text for _, text in ordered], obj["id"])
+    theory = parse_theory(texts, obj["id"])
     questions = []
     for q in obj["questions"]:
         _check_fields(q, _QUESTION_FIELDS, "a question")

@@ -15,7 +15,8 @@ question therefore runs once, at the largest budget, and budget b reads:
 
 * label: the statement's fact if it is given or derived at a step <= b,
   else its negation's by the same test, else unknown;
-* proof: the canonical proof of that fact, stitched once for all budgets;
+* proof: the canonical proof of that fact, which ``solve`` writes from the
+  derivations the store recorded, once per distinct verdict for all budgets;
 * generated: the first b conclusions;
 * composer calls: min(b, n);
 * stop reason: the trace's own when n < b; at n == b, "goal_reached" if
@@ -140,7 +141,7 @@ def _read_budgets(
     statement = question.statement
     steps = len(trace.steps)
     # The verdict changes only at the steps that derive the statement or its
-    # negation, so each distinct verdict is solved (and its proof stitched)
+    # negation, so each distinct verdict is solved (and its proof written)
     # once for all budgets.
     arrivals = [
         fact.derived_step or 0

@@ -26,9 +26,12 @@ a question's whole gold set in one call; ``check_proof`` checks one proof
 through it. The writer classifies each premise once, as a leaf or a derived
 step, and writes each step as it numbers it; it returns the proof's depth
 with the string, which ``solve`` drops and gold labelling ranks by. The
-reader works on the compiled tables' atom numbers and composes each step
-through ``CompiledTheory.compose``, which grounds rules through the same
-``ground`` as the engine, so rules are grounded in one place.
+reader accepts exactly the strings the writer can produce: a sound proof
+written in any other way is rejected as not in canonical form. It works on
+the compiled tables' atom numbers, reads each distinct segment text and
+each distinct step once per theory, and composes steps through
+``CompiledTheory.compose``, which grounds rules through the same ``ground``
+as the engine, so rules are grounded in one place.
 """
 from __future__ import annotations
 
@@ -173,12 +176,15 @@ class CompiledTheory:
     an atom's negation is ``n ^ 1``; ``atom`` gives a number's atom.
     ``ground`` maps a (rule index, entity rank) pair to its premise and
     conclusion numbers and ``arrivals`` maps an atom number to the
-    groundings its fact can complete; ``compose`` maps a rule index and
-    premise numbers to the conclusion number they compose to. All three are
-    filled in on first use, so a theory run once pays only for what that run
-    touches. Rank -1 stands for a ground rule's one binding. ``cones`` holds
-    the relevance cones of ``strategies.relevance_cone``, keyed by statement
-    (subject, predicate).
+    groundings its fact can complete. Both are filled in on first use, so a
+    theory run once pays only for what that run touches. Rank -1 stands for
+    a ground rule's one binding. ``cones`` holds the relevance cones of
+    ``strategies.relevance_cone``, keyed by statement (subject, predicate).
+    ``compose`` maps a rule index and premise numbers to the conclusion
+    number they compose to; ``proof_segments`` and ``proof_steps`` keep what
+    ``check_proofs`` read from each proof segment text and composed for each
+    (rule index, premise numbers), so every gold set of a theory shares
+    them.
     """
 
     def __init__(self, theory: Theory):
@@ -202,7 +208,8 @@ class CompiledTheory:
         self._ground: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
         self._arrivals: dict[int, list[tuple[int, Rule, Sequence[Entity | None]]]] = {}
         self._anyone: dict[int, int] = {}
-        self._composed: dict[tuple[int, tuple[int, ...]], int | None] = {}
+        self.proof_segments: dict[str, tuple] = {}
+        self.proof_steps: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     @functools.cached_property
     def by_conclusion(self) -> dict[tuple, list[tuple[int, Rule]]]:
@@ -264,20 +271,15 @@ class CompiledTheory:
         one binding; only the subjects of the premise atoms can bind a
         quantified rule's variable, and the first of them, in premise order,
         that grounds the rule to these premises wins."""
-        key = (i, premises)
-        if key in self._composed:
-            return self._composed[key]
         rule = self.rules[i]
         want = sorted(premises)
-        found = None
-        for rank in dict.fromkeys(self.rank_of(rule, self.atom(n).subject) for n in premises):
+        for n in premises:
+            rank = self.rank_of(rule, self.atom(n).subject)
             if rank is not None:
                 grounded, conclusion = self.ground(i, rank)
                 if sorted(grounded) == want:
-                    found = conclusion
-                    break
-        self._composed[key] = found
-        return found
+                    return conclusion
+        return None
 
     def anyone(self, n: int) -> int:
         """The number of atom ``n``'s predicate and polarity about the
@@ -557,7 +559,7 @@ def check_proof(
     statement: Statement,
     label: str,
     canonical_form: str,
-) -> list[tuple[str, list[Atom], Atom]]:
+) -> list[tuple[str, tuple[Atom, ...], Atom]]:
     """The steps of one canonical proof string; see ``check_proofs``."""
     return check_proofs(theory, statement, label, (canonical_form,))[0]
 
@@ -567,24 +569,41 @@ def check_proofs(
     statement: Statement,
     label: str,
     forms: Sequence[str],
-) -> list[list[tuple[str, list[Atom], Atom]]]:
+) -> list[list[tuple[str, tuple[Atom, ...], Atom]]]:
     """Validate canonical proof strings against a theory and statement.
 
-    This is the one reader of the canonical form. For each proof it returns
-    the steps in serialized order as (rule id, premise atoms, conclusion
-    atom), with the premises in the string's canonical fact-id order; a
-    degenerate given-fact proof has no steps. Raises ProofCheckError for
-    the first proof that is malformed or unsound. ``label`` says what the
-    proofs claim: "true" (proves the statement) or "false" (proves its
-    negation).
+    This is the one reader of the canonical form, and it accepts exactly the
+    strings that ``canonical_proof_string`` writes. For each proof it
+    returns the steps in serialized order as (rule id, premise atoms,
+    conclusion atom), with the premises in the string's canonical fact-id
+    order; a degenerate given-fact proof has no steps. Raises
+    ProofCheckError for the first proof that is malformed, unsound, or not
+    in canonical form. ``label`` says what the proofs claim: "true" (proves
+    the statement) or "false" (proves its negation).
 
-    Every segment of every proof gets all of its checks, so the result and
-    the first error are those of separate ``check_proof`` calls. Each step
-    is composed on the theory's compiled tables (``CompiledTheory.compose``),
-    on atom numbers, so a step that several proofs of a theory share is
-    matched against its rule once. The returned atoms are the tables' one
-    atom per number: equal atoms are one object, and ``evalkit`` relies on
-    this to render each distinct conclusion once, keyed by identity.
+    A sound proof is in canonical form when it cites each given atom by the
+    writer's sentence id (the last one, for a repeated fact), names no given
+    atom as an intermediate, derives no atom twice, and lists its steps in
+    the writer's order. Every other check already fixes that order unless a
+    step has two or more intermediate premises, so only such proofs are
+    walked in the writer's order. These checks come after all others, so a
+    proof that also fails another check raises that check's error.
+
+    Each distinct step is worked out once per theory, and kept on its
+    compiled tables. A segment's text alone fixes its rule, its sentence
+    atoms, its intermediate and target ids and whether its fact ids are in
+    order, so that part is read once per distinct text
+    (``proof_segments``). Checking a step's premise count, composing it
+    (``CompiledTheory.compose``, on atom numbers) and building its returned
+    tuple happen once per distinct (rule index, premise numbers)
+    (``proof_steps``). Only what passed is kept, and what depends on the
+    proof is checked at every segment: which atoms its intN name, the
+    numbering order, where the hypothesis step stands, and unused
+    intermediates. So the result and the first error are those of separate
+    ``check_proof`` calls. The returned atoms are the tables' one atom per
+    number, and a step that several proofs share is one tuple: equal atoms
+    are one object, and ``evalkit`` relies on this to render each distinct
+    conclusion once, keyed by identity.
     """
     if not forms:
         return []
@@ -600,8 +619,8 @@ def check_proofs(
 
 def _check_form(
     tables: CompiledTheory, goal: int, canonical_form: str
-) -> list[tuple[str, list[Atom], Atom]]:
-    single = _GIVEN_PROOF_RE.fullmatch(canonical_form)
+) -> list[tuple[str, tuple[Atom, ...], Atom]]:
+    single = canonical_form[:1] != "(" and _GIVEN_PROOF_RE.fullmatch(canonical_form)
     if single:
         fid = single.group(1)
         n = tables.sentence_numbers.get(fid)
@@ -609,57 +628,150 @@ def _check_form(
             raise ProofCheckError(f"{fid} is not a given fact")
         if n != goal:
             raise ProofCheckError("given fact does not match the hypothesis")
+        if tables.given_ids[n] != fid:
+            raise ProofCheckError(_recited(tables.given_ids[n], fid))
         return []
 
     segments = canonical_form.split(" ; ")
+    last = len(segments) - 1
     bound: dict[str, int] = {}  # intN -> its atom's number
     used: set[str] = set()
-    steps: list[tuple[str, list[Atom], Atom]] = []
+    found: list[tuple[str, tuple[Atom, ...], Atom]] = []
+    recited = None
+    branching = False
+    texts = tables.proof_segments
+    steps = tables.proof_steps
     for k, seg in enumerate(segments):
-        m = _STEP_RE.fullmatch(seg)
-        if not m:
-            raise ProofCheckError(f"malformed step {seg!r}")
-        rule_id, fact_part, target_id = m.groups()
-        fact_ids = fact_part.split(" ")
-        i = tables.rule_index.get(rule_id)
-        if i is None:
-            raise ProofCheckError(f"{rule_id} is not a rule")
-        if len(fact_ids) > 1 and fact_ids != sorted(fact_ids, key=_id_sort_key):
-            raise ProofCheckError(f"fact ids out of canonical order in {seg!r}")
-        premises: list[int] = []
-        for fid in fact_ids:
-            if fid.startswith("sent"):
+        read = texts.get(seg)
+        if read is None:
+            # what the text fixes on its own, in the order the checks run
+            m = _STEP_RE.fullmatch(seg)
+            if not m:
+                raise ProofCheckError(f"malformed step {seg!r}")
+            rule_id, fact_part, target_id = m.groups()
+            fact_ids = fact_part.split(" ")
+            i = tables.rule_index.get(rule_id)
+            if i is None:
+                raise ProofCheckError(f"{rule_id} is not a rule")
+            if len(fact_ids) > 1 and fact_ids != sorted(fact_ids, key=_id_sort_key):
+                raise ProofCheckError(f"fact ids out of canonical order in {seg!r}")
+            sents: list[int] = []
+            cites = None
+            for fid in fact_ids:
+                if fid[0] == "i":  # the order check put every sentence id first
+                    break
                 n = tables.sentence_numbers.get(fid)
                 if n is None:
                     raise ProofCheckError(f"{fid} is not a given fact")
-            else:
+                sents.append(n)
+                if cites is None and tables.given_ids[n] != fid:
+                    cites = _recited(tables.given_ids[n], fid)
+            premises = tuple(sents)
+            int_ids = fact_ids[len(sents):]
+            texts[seg] = (i, premises, int_ids, target_id, cites)
+        else:
+            i, premises, int_ids, target_id, cites = read
+        if int_ids:
+            for fid in int_ids:
                 n = bound.get(fid)
                 if n is None:
                     raise ProofCheckError(f"{fid} used before it is derived")
-                used.add(fid)
-            premises.append(n)
-        if len(premises) != len(tables.rules[i].premises):
-            raise ProofCheckError(f"{rule_id} takes {len(tables.rules[i].premises)} facts")
-        conclusion = tables.compose(i, tuple(premises))
-        if conclusion is None:
-            raise ProofCheckError(f"facts do not match the premises of {rule_id}")
-        last = k == len(segments) - 1
+                premises += (n,)
+            used.update(int_ids)
+            if len(int_ids) > 1:
+                branching = True
+        key = (i, premises)
+        made = steps.get(key)
+        if made is None:
+            rule = tables.rules[i]
+            if len(premises) != len(rule.premises):
+                raise ProofCheckError(f"{rule.id} takes {len(rule.premises)} facts")
+            n = tables.compose(i, premises)
+            if n is None:
+                raise ProofCheckError(f"facts do not match the premises of {rule.id}")
+            atom = tables.atom
+            made = steps[key] = (n, (rule.id, tuple(map(atom, premises)), atom(n)))
+        n, step = made
         if target_id == "hypothesis":
-            if not last:
+            if k != last:
                 raise ProofCheckError("hypothesis must be the final step")
-            if conclusion != goal:
+            if n != goal:
                 raise ProofCheckError("final conclusion does not match the hypothesis")
         else:
-            if last:
+            if k == last:
                 raise ProofCheckError("final step must target the hypothesis")
             expected = f"int{len(bound) + 1}"
             if target_id != expected:
                 raise ProofCheckError(
                     f"intermediates must be numbered in order: got {target_id}, want {expected}"
                 )
-            bound[target_id] = conclusion
-        steps.append((rule_id, [tables.atom(n) for n in premises], tables.atom(conclusion)))
-    dangling = set(bound) - used
-    if dangling:
-        raise ProofCheckError(f"unused intermediates: {sorted(dangling)}")
-    return steps
+            bound[target_id] = n
+        if cites is not None and recited is None:
+            recited = cites
+        found.append(step)
+    if len(used) != len(bound):
+        raise ProofCheckError(f"unused intermediates: {sorted(set(bound) - used)}")
+
+    if recited is not None:
+        raise ProofCheckError(recited)
+    if bound:
+        atoms = set(bound.values())
+        if (
+            len(atoms) < len(bound)
+            or goal in atoms
+            or not tables.given_facts.keys().isdisjoint(atoms)
+        ):
+            raise ProofCheckError(_rederived(tables, goal, list(bound.values())))
+        if branching:
+            _check_order(segments, [[int(fid[3:]) for fid in texts[seg][2]] for seg in segments])
+    return found
+
+
+def _recited(sid: str, fid: str) -> str:
+    return f"not in canonical form: {fid} repeats {sid}, which the canonical form cites"
+
+
+def _rederived(tables: CompiledTheory, goal: int, derived: list[int]) -> str:
+    """Why a proof whose intermediates are the atoms ``derived`` (in order)
+    is not canonical: the first intermediate that is a given fact, else the
+    first step that derives an atom again."""
+    for j, n in enumerate(derived, 1):
+        if n in tables.given_facts:
+            return f"not in canonical form: int{j} is the given fact {tables.given_ids[n]}"
+    derived = [*derived, goal]
+    k = next(k for k, n in enumerate(derived) if n in derived[:k])
+    name = "the hypothesis" if k == len(derived) - 1 else f"int{k + 1}"
+    return f"not in canonical form: {name} derives the atom of int{derived.index(derived[k]) + 1}"
+
+
+def _check_order(segments: list[str], kids: list[list[int]]) -> None:
+    """Raise unless the steps come in the writer's order: post-order from
+    the hypothesis step, each step's intermediate premises (``kids``, the N
+    of each intN per segment) visited in order of the writer's structural
+    key, each step written when first visited. Every other check has
+    passed, so intN is segment N and no two segments derive one atom."""
+    keys: dict[int, tuple] = {}
+
+    def key(k: int) -> tuple:
+        found = keys.get(k)
+        if found is None:
+            rule_id, fact_part, _ = _STEP_RE.fullmatch(segments[k]).groups()
+            found = keys[k] = (
+                _id_sort_key(rule_id),
+                tuple(_id_sort_key(f) for f in fact_part.split(" ") if f[0] == "s"),
+                tuple(sorted(key(j - 1) for j in kids[k])),
+            )
+        return found
+
+    written = 0
+
+    def write(k: int) -> None:
+        nonlocal written
+        for j in sorted(kids[k], key=lambda j: key(j - 1)):
+            if j > written:
+                write(j - 1)
+        written += 1
+        if written != k + 1:
+            raise ProofCheckError("not in canonical form: steps out of the canonical order")
+
+    write(len(segments) - 1)

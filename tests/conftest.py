@@ -58,6 +58,18 @@ FAULTY_AFTER_SHARED = {
     "last_step_not_the_hypothesis": SHARED_PROOF.replace("hypothesis", "int3"),
     "wrong_final_conclusion": "(sent2 & sent1) -> hypothesis",
     "intermediate_used_before_derived": "(sent4 & int1 int2) -> hypothesis",
+    # the final segment is SHARED_PROOF's text, on other premises
+    "same_final_text_other_premises": (
+        "(sent2 & sent1) -> int1 ; (sent2 & sent1) -> int2 ; (sent4 & int1 int2) -> hypothesis"
+    ),
+    "malformed_step": SHARED_PROOF.replace("int1 int2", "int1  int2"),
+    "unknown_rule": SHARED_PROOF.replace("(sent4", "(sent9"),
+    "unknown_sentence": SHARED_PROOF.replace("(sent3 & sent1)", "(sent3 & sent9)"),
+    "wrong_arity": SHARED_PROOF.replace("int1 int2", "sent1 int1 int2"),
+    # sound, but the writer puts the sent2 step first
+    "swapped_siblings": (
+        "(sent3 & sent1) -> int1 ; (sent2 & sent1) -> int2 ; (sent4 & int1 int2) -> hypothesis"
+    ),
 }
 
 

@@ -593,6 +593,29 @@ class TestMalformedRows:
         assert err.startswith(f"error: {bad}:3 (id {question['id']!r}): ")
         assert "Traceback" not in err
 
+    def test_a_gold_proof_out_of_canonical_order_exits_1_with_location(
+        self, dataset, tmp_path, capsys
+    ):
+        """A sound gold proof whose independent steps are swapped no longer
+        loads and scores as if it were a gold graph."""
+        row = {
+            "id": "s1",
+            "sentences": {f"sent{i}": text for i, text in enumerate(SHARED_LINES, start=1)},
+            "questions": [
+                {"id": "s1-q1", "text": SHARED_STATEMENT, "label": "true", "depth": 2,
+                 "proofs": [FAULTY_AFTER_SHARED["swapped_siblings"]]},
+            ],
+        }
+        bad = with_bad_row(dataset, tmp_path, json.dumps(row))
+        code, _, err = run_cli(
+            capsys, "eval", "--data", str(bad), "--report", str(tmp_path / "r.json")
+        )
+        assert code == 1
+        assert err == (
+            f"error: {bad}:3 (id 's1-q1'): not in canonical form: "
+            "steps out of the canonical order\n"
+        )
+
     def test_a_fault_after_a_valid_gold_proof_exits_1_with_location(
         self, dataset, tmp_path, capsys
     ):

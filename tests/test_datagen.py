@@ -1,6 +1,7 @@
 """Closure oracle, gold annotation, the generator, perturbation, training."""
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -466,6 +467,30 @@ def test_instance_from_json_rejects_sparse_ids():
     obj["sentences"].pop("sent1")
     with pytest.raises(ValueError):
         instance_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "sentences, message",
+    [
+        ({"sent2": "Bob is red."}, "instance t: sentence ids are not dense"),
+        ({"sent0": "Bob is red."}, "instance t: sentence ids are not dense"),
+        ({"sent01": "Bob is red."}, "instance t: sentence ids are not dense"),
+        ({"sent1": "Bob is red.", "sent3": "Bob is big."}, "instance t: sentence ids are not dense"),
+        ({"sent1": "Bob is red.", "foo": "Bob is big."}, "bad sentence id 'foo'"),
+        ({"sent1": 5}, "instance t: sentences must be strings"),
+        # density is checked before the type of the texts
+        ({"sent1": 5, "sent3": "Bob is big."}, "instance t: sentence ids are not dense"),
+    ],
+)
+def test_instance_from_json_names_what_is_wrong_with_the_sentences(sentences, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        instance_from_json({"id": "t", "sentences": sentences, "questions": []})
+
+
+def test_instance_from_json_reads_sentences_in_id_order():
+    sentences = {"sent2": "If someone is red then they are big.", "sent1": "Bob is red."}
+    theory = instance_from_json({"id": "t", "sentences": sentences, "questions": []}).theory
+    assert theory.sentences() == sorted(sentences.items())
 
 
 def test_instance_from_json_takes_only_a_boolean_truncation_flag():

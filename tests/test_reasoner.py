@@ -22,6 +22,7 @@ from rulechain.reasoner import (
     STOP_FIXPOINT,
     STOP_GOAL_REACHED,
     StaleDecisionError,
+    Verdict,
     applicable_bindings,
     check_proof,
     check_proofs,
@@ -422,6 +423,85 @@ def test_check_proof_rejects_dangling_intermediates(diamond):
         check_proof(diamond, parse_statement("Bob is smart."), LABEL_TRUE, dangling)
 
 
+@pytest.mark.parametrize(
+    "lines, statement, proof, message",
+    [
+        (  # independent steps swapped
+            ["Bob is red.", "Bob is big.", "If someone is red then they are kind.",
+             "If someone is big then they are nice.",
+             "If someone is kind and they are nice then they are rough."],
+            "Bob is rough.",
+            "(sent4 & sent2) -> int1 ; (sent3 & sent1) -> int2 ; (sent5 & int1 int2) -> hypothesis",
+            "steps out of the canonical order",
+        ),
+        (  # an intermediate that is a given fact
+            ["Bob is red.", "If someone is red then they are kind.",
+             "If someone is kind then they are red.", "If someone is red then they are nice."],
+            "Bob is nice.",
+            "(sent2 & sent1) -> int1 ; (sent3 & int1) -> int2 ; (sent4 & int2) -> hypothesis",
+            "int2 is the given fact sent1",
+        ),
+        (  # one atom derived twice
+            ["Bob is red.", "If someone is red then they are big.",
+             "If someone is big then they are kind.", "If someone is kind then they are big.",
+             "If someone is big then they are nice."],
+            "Bob is nice.",
+            "(sent2 & sent1) -> int1 ; (sent3 & int1) -> int2 ; (sent4 & int2) -> int3 ; "
+            "(sent5 & int3) -> hypothesis",
+            "int3 derives the atom of int1",
+        ),
+        (  # the hypothesis derived as an intermediate first
+            ["Bob is red.", "If someone is red then they are big.",
+             "If someone is big then they are kind.", "If someone is kind then they are big."],
+            "Bob is big.",
+            "(sent2 & sent1) -> int1 ; (sent3 & int1) -> int2 ; (sent4 & int2) -> hypothesis",
+            "the hypothesis derives the atom of int1",
+        ),
+        (  # a repeated fact cited by its first id
+            ["Bob is red.", "If someone is red then they are kind.", "Bob is red."],
+            "Bob is kind.",
+            "(sent2 & sent1) -> hypothesis",
+            "sent1 repeats sent3, which the canonical form cites",
+        ),
+        (
+            ["Bob is red.", "If someone is red then they are kind.", "Bob is red."],
+            "Bob is red.",
+            "sent1 -> hypothesis",
+            "sent1 repeats sent3, which the canonical form cites",
+        ),
+    ],
+)
+def test_check_proof_rejects_a_sound_proof_the_writer_would_not_write(
+    lines, statement, proof, message
+):
+    theory = parse_theory(lines)
+    with pytest.raises(ProofCheckError, match=f"^not in canonical form: {re.escape(message)}$"):
+        check_proof(theory, parse_statement(statement), LABEL_TRUE, proof)
+
+
+def test_check_proof_accepts_what_the_writer_writes_for_those_theories():
+    """The engine's proofs of the statements above, which the writer
+    writes, check."""
+    cases = [
+        (["Bob is red.", "Bob is big.", "If someone is red then they are kind.",
+          "If someone is big then they are nice.",
+          "If someone is kind and they are nice then they are rough."], "Bob is rough.",
+         "(sent3 & sent1) -> int1 ; (sent4 & sent2) -> int2 ; (sent5 & int1 int2) -> hypothesis"),
+        (["Bob is red.", "If someone is red then they are kind.",
+          "If someone is kind then they are red.", "If someone is red then they are nice."],
+         "Bob is nice.", "(sent4 & sent1) -> hypothesis"),
+        (["Bob is red.", "If someone is red then they are kind.", "Bob is red."], "Bob is kind.",
+         "(sent2 & sent3) -> hypothesis"),
+        (["Bob is red.", "If someone is red then they are kind.", "Bob is red."], "Bob is red.",
+         "sent3 -> hypothesis"),
+    ]
+    for lines, text, proof in cases:
+        theory = parse_theory(lines)
+        statement, trace = run_exhaustive(theory, text)
+        assert solve(statement, trace) == Verdict(LABEL_TRUE, proof)
+        check_proof(theory, statement, LABEL_TRUE, proof)
+
+
 def test_check_proof_rejects_unknown_label(chain2):
     with pytest.raises(ProofCheckError):
         check_proof(chain2, parse_statement("Bob is smart."), "maybe", CHAIN2_PROOF)
@@ -446,14 +526,20 @@ def test_a_gold_set_checks_like_its_proofs_one_by_one(name):
 
 @pytest.mark.parametrize("case", sorted(FAULTY_AFTER_SHARED))
 def test_a_fault_in_reused_steps_is_found_after_a_valid_proof(case):
-    theory = parse_theory(SHARED_LINES)
+    """The faulty proof raises the message it raises on a fresh theory when
+    it follows the valid proof in one set, and when the valid proof was
+    checked before on the same theory, whose tables keep its steps."""
     statement = parse_statement(SHARED_STATEMENT)
     faulty = FAULTY_AFTER_SHARED[case]
-    assert len(check_proof(theory, statement, LABEL_TRUE, SHARED_PROOF)) == 3
     with pytest.raises(ProofCheckError) as alone:
-        check_proof(theory, statement, LABEL_TRUE, faulty)
-    with pytest.raises(ProofCheckError, match=f"^{re.escape(str(alone.value))}$"):
+        check_proof(parse_theory(SHARED_LINES), statement, LABEL_TRUE, faulty)
+    message = f"^{re.escape(str(alone.value))}$"
+    theory = parse_theory(SHARED_LINES)
+    with pytest.raises(ProofCheckError, match=message):
         check_proofs(theory, statement, LABEL_TRUE, [SHARED_PROOF, faulty])
+    assert len(check_proof(theory, statement, LABEL_TRUE, SHARED_PROOF)) == 3
+    with pytest.raises(ProofCheckError, match=message):
+        check_proof(theory, statement, LABEL_TRUE, faulty)
 
 
 def test_a_gold_set_matches_each_distinct_step_once():
@@ -463,14 +549,14 @@ def test_a_gold_set_matches_each_distinct_step_once():
     once."""
     (inst,) = golden_instances("diamond")
     tables = compile_theory(inst.theory)
-    misses = []
+    composed = []
+    compose = tables.compose
 
-    class CountingCache(dict):
-        def __setitem__(self, key, value):
-            misses.append(key)
-            super().__setitem__(key, value)
+    def counting_compose(i, premises):
+        composed.append((i, premises))
+        return compose(i, premises)
 
-    tables._composed = CountingCache()
+    tables.compose = counting_compose
     predictions = predict_instances([inst], "goal")
     build_report([inst], predictions, "goal")
 
@@ -484,7 +570,7 @@ def test_a_gold_set_matches_each_distinct_step_once():
     q = max(inst.questions, key=lambda q: len(q.annotation.proofs))
     capped = check_proofs(inst.theory, q.statement, q.annotation.label, q.annotation.proofs)
     assert sum(map(len, capped)) > 4 * len(distinct)
-    assert 0 < len(misses) <= len(distinct)
+    assert 0 < len(composed) <= len(distinct)
 
 
 # ---------------------------------------------------------------------------
