@@ -899,7 +899,7 @@ def instance_from_json(obj: dict) -> Instance:
     ids = [f"sent{i}" for i in range(1, len(sentences) + 1)]
     if not all(sid in sentences for sid in ids):
         for sid in sentences:
-            sentence_number(sid)  # a key that is no sentence id at all names itself
+            sentence_number(sid)  # raises for a key that is no sentence id at all
         raise ValueError(f"instance {obj['id']}: sentence ids are not dense")
     texts = [sentences[sid] for sid in ids]
     if not all(isinstance(text, str) for text in texts):
