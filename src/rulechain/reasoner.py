@@ -184,7 +184,8 @@ class CompiledTheory:
     number they compose to; ``proof_segments`` and ``proof_steps`` keep what
     ``check_proofs`` read from each proof segment text and composed for each
     (rule index, premise numbers), so every gold set of a theory shares
-    them.
+    them. ``recited_ids`` holds the sentence ids that canonical proofs never
+    cite: those of a repeated fact other than its last.
     """
 
     def __init__(self, theory: Theory):
@@ -198,6 +199,7 @@ class CompiledTheory:
         self.given_facts = dict(zip(self.given_numbers, theory.facts))
         self.given_ids = {n: f.id for n, f in self.given_facts.items()}
         self.sentence_numbers = {f.id: n for f, n in zip(theory.facts, self.given_numbers)}
+        self.recited_ids = self.sentence_numbers.keys() - self.given_ids.values()
         self.contradiction = any(n ^ 1 in self.given_facts for n in self.given_facts)
         # (pred, positive) -> rules with such a premise
         self.by_premise: dict[tuple, list[tuple[int, Rule, Atom]]] = {}
@@ -272,12 +274,11 @@ class CompiledTheory:
         quantified rule's variable, and the first of them, in premise order,
         that grounds the rule to these premises wins."""
         rule = self.rules[i]
-        want = sorted(premises)
         for n in premises:
             rank = self.rank_of(rule, self.atom(n).subject)
             if rank is not None:
                 grounded, conclusion = self.ground(i, rank)
-                if sorted(grounded) == want:
+                if grounded == premises or sorted(grounded) == sorted(premises):
                     return conclusion
         return None
 
@@ -628,8 +629,8 @@ def _check_form(
             raise ProofCheckError(f"{fid} is not a given fact")
         if n != goal:
             raise ProofCheckError("given fact does not match the hypothesis")
-        if tables.given_ids[n] != fid:
-            raise ProofCheckError(_recited(tables.given_ids[n], fid))
+        if fid in tables.recited_ids:
+            raise ProofCheckError(_recited(tables, fid))
         return []
 
     segments = canonical_form.split(" ; ")
@@ -637,7 +638,6 @@ def _check_form(
     bound: dict[str, int] = {}  # intN -> its atom's number
     used: set[str] = set()
     found: list[tuple[str, tuple[Atom, ...], Atom]] = []
-    recited = None
     branching = False
     texts = tables.proof_segments
     steps = tables.proof_steps
@@ -656,7 +656,6 @@ def _check_form(
             if len(fact_ids) > 1 and fact_ids != sorted(fact_ids, key=_id_sort_key):
                 raise ProofCheckError(f"fact ids out of canonical order in {seg!r}")
             sents: list[int] = []
-            cites = None
             for fid in fact_ids:
                 if fid[0] == "i":  # the order check put every sentence id first
                     break
@@ -664,13 +663,11 @@ def _check_form(
                 if n is None:
                     raise ProofCheckError(f"{fid} is not a given fact")
                 sents.append(n)
-                if cites is None and tables.given_ids[n] != fid:
-                    cites = _recited(tables.given_ids[n], fid)
             premises = tuple(sents)
             int_ids = fact_ids[len(sents):]
-            texts[seg] = (i, premises, int_ids, target_id, cites)
+            texts[seg] = (i, premises, int_ids, target_id)
         else:
-            i, premises, int_ids, target_id, cites = read
+            i, premises, int_ids, target_id = read
         if int_ids:
             for fid in int_ids:
                 n = bound.get(fid)
@@ -706,14 +703,15 @@ def _check_form(
                     f"intermediates must be numbered in order: got {target_id}, want {expected}"
                 )
             bound[target_id] = n
-        if cites is not None and recited is None:
-            recited = cites
         found.append(step)
     if len(used) != len(bound):
         raise ProofCheckError(f"unused intermediates: {sorted(set(bound) - used)}")
 
-    if recited is not None:
-        raise ProofCheckError(recited)
+    if tables.recited_ids:
+        for seg in segments:
+            for fid in _STEP_RE.fullmatch(seg).group(2).split(" "):
+                if fid in tables.recited_ids:
+                    raise ProofCheckError(_recited(tables, fid))
     if bound:
         atoms = set(bound.values())
         if (
@@ -727,7 +725,8 @@ def _check_form(
     return found
 
 
-def _recited(sid: str, fid: str) -> str:
+def _recited(tables: CompiledTheory, fid: str) -> str:
+    sid = tables.given_ids[tables.sentence_numbers[fid]]
     return f"not in canonical form: {fid} repeats {sid}, which the canonical form cites"
 
 
