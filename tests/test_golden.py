@@ -10,9 +10,11 @@ selection has real choice, is also run with a shuffle seed. It also holds
 the labelled dataset of each input, gold proofs included, and of a
 10-layer diamond ladder whose 1,024 proofs pass the enumeration's hard
 limit, and both strategies' reports on that ladder, whose gold sets share
-most of their steps and whose questions lie deeper than 5. Any change in
-gold labelling, in what the engine selects, in proof stitching or in
-scoring shows here as a diff.
+most of their steps and whose questions lie deeper than 5. For every
+dataset it holds the rule-selection, fact-selection and composition
+streams that ``rulechain emit-training`` writes. Any change in gold
+labelling, in what the engine selects, in proof stitching, in scoring or
+in training records shows here as a diff.
 
 After a change that is meant to alter these outputs, rewrite the files
 with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -51,6 +53,7 @@ BUDGETS = "0,1,2,3,5,7,12,200"
 INPUTS = ("corpus", "chain", "diamond")
 DATASETS = (*INPUTS, "ladder")
 LADDER_LAYERS = 10
+TRAINING_STREAMS = ("rs", "fs", "kc")
 
 NAMES = ("Anne", "Bob", "Dave", "Erin", "Gary", "Max", "Nina", "Tina")
 CHAINS = (
@@ -132,6 +135,7 @@ def _kinds(shuffle_seed: int | None) -> tuple[str, ...]:
 GOLDEN_NAMES = sorted(
     [f"{_stem(*r)}.{kind}" for r in RUNS for kind in _kinds(r[2])]
     + [f"{name}.dataset.jsonl" for name in DATASETS]
+    + [f"{name}.training.{key}.jsonl" for name in DATASETS for key in TRAINING_STREAMS]
     + LADDER_REPORTS
 )
 
@@ -175,6 +179,13 @@ def golden_outputs(workdir: Path) -> dict[str, str]:
     write_labelled(data["ladder"], "ladder", ladder, ladder_statements(top))
 
     out = {f"{name}.dataset.jsonl": data[name].read_text(encoding="utf-8") for name in DATASETS}
+    for name in DATASETS:
+        training = workdir / f"{name}.training"
+        assert main(["emit-training", "--data", str(data[name]), "--out-dir", str(training)]) == 0
+        for key in TRAINING_STREAMS:
+            out[f"{name}.training.{key}.jsonl"] = (training / f"{key}.jsonl").read_text(
+                encoding="utf-8"
+            )
     for name, strategy, shuffle_seed in RUNS:
         stem = _stem(name, strategy, shuffle_seed)
         shuffle = [] if shuffle_seed is None else ["--shuffle-seed", str(shuffle_seed)]
