@@ -21,11 +21,15 @@ differ, and every other stage's must still agree.
 
 The output file holds, per workload, the stages whose digests differed,
 and per end-to-end metric each side's
-values in pair order, their median and quartiles, and the number of pairs
+values in pair order, their median and quartiles, the number of pairs
 in which the change was better, read by the ``better`` direction that the
-change's ``BENCHMARK.json`` declares. It also records the run length that
-run.py reports, both checkouts' commits and the machine. Only the standard
-library is used.
+change's ``BENCHMARK.json`` declares, and a verdict. The verdict is
+``gain`` when the change won at least nine tenths of the pairs (ties count
+for neither side) and its median beats the base's by more than the
+distance between the base's quartiles; ``worse`` when the base did the
+same against the change; and ``unresolved`` otherwise. It also records the
+run length that run.py reports, both checkouts' commits and the machine.
+Only the standard library is used.
 """
 from __future__ import annotations
 
@@ -80,8 +84,23 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(row: dict, lost: int, sign: int) -> str:
+    """"gain", "worse" or "unresolved" for one metric's summary ``row``, in
+    which the change lost ``lost`` pairs; ``sign`` is 1 when higher is
+    better and -1 when lower is."""
+    pairs = len(row["base"]["values"])
+    margin = sign * (row["change"]["median"] - row["base"]["median"])
+    noise = row["base"]["q3"] - row["base"]["q1"]
+    if 10 * row["won"] >= 9 * pairs and margin > noise:
+        return "gain"
+    if 10 * lost >= 9 * pairs and -margin > noise:
+        return "worse"
+    return "unresolved"
+
+
 def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's values, their spread and the pairs won.
+    """Per metric: each side's values, their spread, the pairs won and the
+    verdict.
 
     ``pairs`` holds one {"base": result, "change": result} per pair;
     ``better`` maps a metric to "higher" or "lower".
@@ -97,11 +116,11 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
         row["ratio"] = row["change"]["median"] / base_median if base_median else None
         if row["better"] in ("higher", "lower"):
             sign = 1 if row["better"] == "higher" else -1
-            row["won"] = sum(
-                sign * (c - b) > 0 for b, c in zip(values["base"], values["change"])
-            )
+            gains = [sign * (c - b) for b, c in zip(values["base"], values["change"])]
+            row["won"] = sum(g > 0 for g in gains)
+            row["verdict"] = verdict(row, sum(g < 0 for g in gains), sign)
         else:
-            row["won"] = None
+            row["won"] = row["verdict"] = None
         out[name] = row
     return out
 
@@ -202,7 +221,7 @@ def main(argv=None) -> int:
     for w, entry in doc["workloads"].items():
         for name, row in entry["metrics"].items():
             ratio = "-" if row["ratio"] is None else f"x{row['ratio']:.3f}"
-            won = "" if row["won"] is None else f"  won {row['won']}/{args.pairs}"
+            won = "" if row["won"] is None else f"  won {row['won']}/{args.pairs} {row['verdict']}"
             print(f"{w:<7} {name:<20} {row['base']['median']:>12.4g} -> "
                   f"{row['change']['median']:<12.4g} {ratio}{won}")
     return 0

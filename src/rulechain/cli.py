@@ -38,7 +38,7 @@ from .evalkit import (
     prediction_to_json,
     score_consistency,
 )
-from .jsonlio import read_jsonl, row_line, write_json, write_jsonl
+from .jsonlio import read_jsonl, row_line, write_json, write_jsonl, write_lines
 from .reasoner import run, solve
 from .strategies import STRATEGY_NAMES, make_strategy
 from .theory import ParseError, TheoryParseError, parse_statement, parse_theory
@@ -332,14 +332,14 @@ def _cmd_emit_training(args) -> int:
     streams = {"rs": [], "fs": [], "kc": []}
     with _gold_rows(args.data, instances):
         for inst in instances:
-            records = emit_training_records(inst)
+            emitted = emit_training_records(inst)
             for key in streams:
-                streams[key].extend(records[key])
+                streams[key].extend(emitted[key])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for key, rows in streams.items():
-        write_jsonl(out_dir / f"{key}.jsonl", rows)
-    counts = ", ".join(f"{key}={len(rows)}" for key, rows in streams.items())
+    for key, lines in streams.items():
+        write_lines(out_dir / f"{key}.jsonl", lines)
+    counts = ", ".join(f"{key}={len(lines)}" for key, lines in streams.items())
     print(f"wrote training records to {out_dir} ({counts})")
     return 0
 

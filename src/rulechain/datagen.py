@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import json
 import random
 from dataclasses import dataclass, replace
 
@@ -963,8 +964,8 @@ def _may_contradict(theory: Theory) -> bool:
     return any((pred, not positive) in keys for pred, positive in keys)
 
 
-def emit_training_records(instance: Instance) -> dict[str, list[dict]]:
-    """Per-question supervision records for the three learned roles.
+def emit_training_records(instance: Instance) -> dict[str, list[str]]:
+    """Per-question supervision lines for the three learned roles.
 
     The steps come from each question's first gold proof, ``proofs[0]``,
     read through ``check_proof``. For every step there is one
@@ -976,67 +977,55 @@ def emit_training_records(instance: Instance) -> dict[str, list[dict]]:
     questions and given-fact proofs contribute only that. Indices are
     0-based positions into the record's own fact and rule lists.
 
+    Returns the ``rs``, ``fs`` and ``kc`` streams as JSON lines, each equal
+    to ``json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"``.
+    Every text is encoded once per instance, and each line splices the
+    encoded pieces in sorted-key order: the rule list is one piece, and the
+    facts so far are a prefix that grows by one encoded conclusion a step.
+
     Raises GoldProofError for a contradictory theory or for a ``proofs[0]``
     that fails ``check_proof``.
     """
-    if _may_contradict(instance.theory) and gold_closure(instance.theory).contradiction:
+    theory = instance.theory
+    if _may_contradict(theory) and gold_closure(theory).contradiction:
         raise GoldProofError(instance, instance.id, "the theory is contradictory")
-    rule_texts = [render(r) for r in instance.theory.rules]
-    rule_index = {r.id: i for i, r in enumerate(instance.theory.rules)}
-    given_texts = [render(f.atom) for f in instance.theory.facts]
-    given_position = {f.atom: i for i, f in enumerate(instance.theory.facts)}
-    rs: list[dict] = []
-    fs: list[dict] = []
-    kc: list[dict] = []
+    rule_texts = [json.dumps(render(r)) for r in theory.rules]
+    rule_index = {r.id: i for i, r in enumerate(theory.rules)}
+    rules = ",".join(rule_texts)
+    given_texts = [json.dumps(render(f.atom)) for f in theory.facts]
+    given = ",".join(given_texts)
+    given_known = {f.atom: (i, t) for i, (f, t) in enumerate(zip(theory.facts, given_texts))}
+    rs: list[str] = []
+    fs: list[str] = []
+    kc: list[str] = []
     for q in instance.questions:
         steps = []
         if q.annotation.proofs:
             try:
-                steps = check_proof(
-                    instance.theory, q.statement, q.annotation.label, q.annotation.proofs[0]
-                )
+                steps = check_proof(theory, q.statement, q.annotation.label, q.annotation.proofs[0])
             except ProofCheckError as e:
                 raise GoldProofError(instance, q.id, str(e)) from None
-        facts_so_far = list(given_texts)
-        position = dict(given_position)
-        for rule_id, premises, conclusion in steps:
-            text = render(conclusion)
-            premise_indices = sorted(position[p] for p in premises)
-            rs.append(
-                {
-                    "question_id": q.id,
-                    "statement": q.text,
-                    "facts": list(facts_so_far),
-                    "rules": list(rule_texts),
-                    "output": rule_index[rule_id],
-                }
-            )
+        qid, statement = json.dumps(q.id), json.dumps(q.text)
+        rs_tail = f',"question_id":{qid},"rules":[{rules}],"statement":{statement}}}\n'
+        facts = given
+        known = dict(given_known)
+        for position, (rule_id, premises, conclusion) in enumerate(steps, len(given_texts)):
+            i = rule_index[rule_id]
+            rule = rule_texts[i]
+            text = json.dumps(render(conclusion))
+            chosen = sorted(known[p] for p in premises)
+            indices = ",".join(str(k) for k, _ in chosen)
+            premise_texts = ",".join(t for _, t in chosen)
+            rs.append(f'{{"facts":[{facts}],"output":{i}{rs_tail}')
             fs.append(
-                {
-                    "question_id": q.id,
-                    "statement": q.text,
-                    "rule": rule_texts[rule_index[rule_id]],
-                    "facts": list(facts_so_far),
-                    "output": premise_indices,
-                }
+                f'{{"facts":[{facts}],"output":[{indices}],"question_id":{qid},'
+                f'"rule":{rule},"statement":{statement}}}\n'
             )
             kc.append(
-                {
-                    "question_id": q.id,
-                    "rule": rule_texts[rule_index[rule_id]],
-                    "facts": [facts_so_far[i] for i in premise_indices],
-                    "output": text,
-                }
+                f'{{"facts":[{premise_texts}],"output":{text},'
+                f'"question_id":{qid},"rule":{rule}}}\n'
             )
-            position[conclusion] = len(facts_so_far)
-            facts_so_far.append(text)
-        rs.append(
-            {
-                "question_id": q.id,
-                "statement": q.text,
-                "facts": list(facts_so_far),
-                "rules": list(rule_texts),
-                "output": "STOP",
-            }
-        )
+            known[conclusion] = (position, text)
+            facts = f"{facts},{text}" if facts else text
+        rs.append(f'{{"facts":[{facts}],"output":"STOP"{rs_tail}')
     return {"rs": rs, "fs": fs, "kc": kc}

@@ -459,11 +459,14 @@ def solve(statement: Statement, trace: InferenceTrace, steps: int | None = None)
 
 
 @functools.lru_cache(maxsize=4096)
-def _id_sort_key(fid: str) -> tuple[int, int]:
+def _id_sort_key(fid: str) -> tuple[int, int, str]:
+    """Sentence ids before intermediates, each in the order of their
+    numbers, compared as digit strings so that no id is too long to read."""
     m = re.fullmatch(r"(sent|int)(\d+)", fid)
     if not m:
         raise ValueError(f"bad fact id {fid!r}")
-    return (0 if m.group(1) == "sent" else 1, int(m.group(2)))
+    digits = m.group(2).lstrip("0")
+    return (0 if m.group(1) == "sent" else 1, len(digits), digits)
 
 
 def canonical_proof_string(

@@ -228,7 +228,10 @@ def test_criterion_8_training_record_counts_reconcile():
     ok = True
     totals = {"rs": 0, "fs": 0, "kc": 0, "steps": 0, "questions": 0}
     for inst in instances:
-        records = dg.emit_training_records(inst)
+        records = {
+            key: [json.loads(line) for line in lines]
+            for key, lines in dg.emit_training_records(inst).items()
+        }
         steps = sum(
             q.annotation.proofs[0].count("(")
             for q in inst.questions

@@ -42,6 +42,45 @@ def test_pairs_won_follow_each_metric_direction():
     assert qps["won"] == 2
     assert summary["peak_rss_mb"]["won"] == 1  # lower is better; a tie wins nothing
     assert summary["calls_ratio"]["won"] is None  # no declared direction
+    assert qps["verdict"] == summary["peak_rss_mb"]["verdict"] == "unresolved"
+    assert summary["calls_ratio"]["verdict"] is None
+
+
+def ten_pairs(base_qps, change_qps):
+    return [{"base": result(b, 30), "change": result(c, 30)}
+            for b, c in zip(base_qps, change_qps)]
+
+
+def qps_verdict(base_qps, change_qps):
+    return bench_pairs.summarise(ten_pairs(base_qps, change_qps), {"gen_qps": "higher"})[
+        "gen_qps"]
+
+
+BASE = [100, 104, 96, 102, 98, 101, 99, 103, 97, 100]  # median 100, quartiles 98.25-101.75
+
+
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_margin_over_the_quartiles():
+    row = qps_verdict(BASE, [b + 5 for b in BASE])
+    assert (row["won"], row["base"]["q1"], row["base"]["q3"]) == (10, 98.25, 101.75)
+    assert row["verdict"] == "gain"
+    nine = [b + 5 for b in BASE[:9]] + [BASE[9] - 1]
+    assert qps_verdict(BASE, nine)["won"] == 9
+    assert qps_verdict(BASE, nine)["verdict"] == "gain"
+    eight = [b + 5 for b in BASE[:8]] + [BASE[8] - 1, BASE[9]]  # a tie counts for neither
+    assert qps_verdict(BASE, eight)["won"] == 8
+    assert qps_verdict(BASE, eight)["verdict"] == "unresolved"
+    # every pair won, but by less than the base's quartile distance of 3.5
+    small = qps_verdict(BASE, [b + 3 for b in BASE])
+    assert (small["won"], small["verdict"]) == (10, "unresolved")
+
+
+def test_worse_mirrors_gain_and_follows_the_direction():
+    assert qps_verdict(BASE, [b - 5 for b in BASE])["verdict"] == "worse"
+    assert qps_verdict(BASE, [b - 3 for b in BASE])["verdict"] == "unresolved"
+    pairs = [{"base": result(1, r), "change": result(1, r - 4)} for r in BASE]
+    lower = bench_pairs.summarise(pairs, {"peak_rss_mb": "lower", "gen_qps": "higher"})
+    assert lower["peak_rss_mb"]["verdict"] == "gain"
+    assert lower["gen_qps"]["verdict"] == "unresolved"  # every pair tied
 
 
 def test_one_pair_is_its_own_quartiles():

@@ -616,6 +616,24 @@ class TestMalformedRows:
             "steps out of the canonical order\n"
         )
 
+    def test_a_gold_proof_citing_a_5000_digit_id_exits_1_with_location(
+        self, tmp_path, capsys
+    ):
+        long_id = "sent" + "9" * 5000
+        row = {
+            "id": "t1",
+            "sentences": {f"sent{i}": text for i, text in enumerate(SHARED_LINES, start=1)},
+            "questions": [
+                {"id": "t1-q1", "text": "Bob is big.", "label": "true", "depth": 1,
+                 "proofs": [f"(sent2 & sent1 {long_id}) -> hypothesis"]},
+            ],
+        }
+        data = tmp_path / "one.jsonl"
+        data.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "eval", "--data", str(data))
+        assert code == 1
+        assert err == f"error: {data}:1 (id 't1-q1'): {long_id} is not a given fact\n"
+
     def test_a_fault_after_a_valid_gold_proof_exits_1_with_location(
         self, dataset, tmp_path, capsys
     ):

@@ -41,14 +41,19 @@ from rulechain.theory import (
     IsAttr,
     PROPER,
     QUANT_NONE,
+    Statement,
     parse_statement,
     parse_theory,
     render,
 )
 
+from rulechain.jsonlio import read_jsonl
+
 from conftest import diamond_ladder_lines
-from grammar_theories import theories
+from grammar_theories import facts, theories
 from grammar_theories import extend_theory, irrelevant_sentences
+from reference_training import emit_training_records as reference_training_records
+from test_golden import DATASETS, GOLDEN
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +518,14 @@ def test_instance_from_json_takes_only_a_boolean_truncation_flag():
 # Training records
 # ---------------------------------------------------------------------------
 
+def training_records(instance):
+    """The records that ``emit_training_records``'s lines encode, per stream."""
+    return {
+        key: [json.loads(line) for line in lines]
+        for key, lines in emit_training_records(instance).items()
+    }
+
+
 def test_training_records_for_a_two_step_question(chain2):
     from rulechain.datagen import Instance, Question
 
@@ -521,7 +534,7 @@ def test_training_records_for_a_two_step_question(chain2):
     inst = Instance(
         "t9", chain2, [Question("t9-q1", statement, render(statement.atom), ann)]
     )
-    records = emit_training_records(inst)
+    records = training_records(inst)
     assert len(records["rs"]) == 3  # two steps plus the stop record
     assert len(records["fs"]) == 2
     assert len(records["kc"]) == 2
@@ -562,7 +575,7 @@ def test_conjunctive_step_selects_two_facts(conj):
     inst = Instance(
         "t8", conj, [Question("t8-q1", statement, render(statement.atom), ann)]
     )
-    records = emit_training_records(inst)
+    records = training_records(inst)
     (fs,) = records["fs"]
     assert fs["output"] == [1, 2]  # positions of the two premises, sorted
 
@@ -573,7 +586,7 @@ def test_given_and_unknown_questions_emit_only_a_stop_record(chain2):
         statement = parse_statement(text)
         questions.append(Question(f"t9-q{k}", statement, text, assign_gold(chain2, statement)))
     assert [q.annotation.label for q in questions] == ["true", "unknown"]
-    records = emit_training_records(Instance("t9", chain2, questions))
+    records = training_records(Instance("t9", chain2, questions))
     assert records["fs"] == records["kc"] == []
     assert [(r["question_id"], r["output"]) for r in records["rs"]] == [
         ("t9-q1", "STOP"),
@@ -639,7 +652,7 @@ def test_training_records_replay_to_the_first_gold_proof():
     instances.append(Instance("ladder", ladder, [Question("ladder-q1", statement, text, annotation)]))
     replayed = 0
     for inst in instances:
-        records = emit_training_records(inst)
+        records = training_records(inst)
         for q in inst.questions:
             gold = q.annotation.proofs[0] if q.annotation.proofs else None
             assert replayed_proof(inst.theory, q, records) == gold
@@ -701,6 +714,72 @@ def test_training_rejects_exactly_the_contradictory_theories(lines):
         assert contradictory
     else:
         assert not contradictory
+
+
+def assert_lines_encode_the_reference_records(instance):
+    """Each stream's lines are the reference emitter's records, in order,
+    each encoded by ``json.dumps`` with sorted keys and no spaces."""
+    lines = emit_training_records(instance)
+    records = reference_training_records(instance)
+    assert list(lines) == list(records) == ["rs", "fs", "kc"]
+    for key, rows in records.items():
+        encoded = [json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in rows]
+        assert lines[key] == encoded
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_training_lines_encode_the_reference_records_on_the_golden_datasets(name):
+    for row in read_jsonl(GOLDEN / f"{name}.dataset.jsonl"):
+        assert_lines_encode_the_reference_records(instance_from_json(row))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=theories(), statement_text=facts())
+def test_training_lines_encode_the_reference_records_on_the_grammar(lines, statement_text):
+    """Questions on every atom of the closure, on its negation and on a
+    drawn statement, which may be unknown; both emitters reject a
+    contradictory theory."""
+    theory = parse_theory(lines)
+    closure = gold_closure(theory)
+    if closure.contradiction:
+        for emit in (emit_training_records, reference_training_records):
+            with pytest.raises(GoldProofError, match="contradictory"):
+                emit(Instance("t", theory, []))
+        return
+    atoms = [*closure.given, *closure.derived]
+    statements = [parse_statement(statement_text), *map(Statement, atoms)]
+    statements += [Statement(a.negated()) for a in atoms]
+    questions = [
+        Question(f"t-q{k}", s, render(s.atom), assign_gold(theory, s, closure))
+        for k, s in enumerate(statements, start=1)
+    ]
+    assert_lines_encode_the_reference_records(Instance("t", theory, questions))
+
+
+def test_training_lines_escape_a_question_id_as_json_dumps_does(chain2):
+    statement = parse_statement("Bob is smart.")
+    question_id = 'q "1" \\ \x07 \u00e9'
+    question = Question(question_id, statement, "Bob is smart.", assign_gold(chain2, statement))
+    instance = Instance("t9", chain2, [question])
+    assert_lines_encode_the_reference_records(instance)
+    first, _ = emit_training_records(instance)["kc"]
+    assert '"question_id":"q \\"1\\" \\\\ \\u0007 \\u00e9"' in first
+
+
+def test_training_lines_of_a_theory_without_given_facts():
+    theory = parse_theory(["If someone is blue then they are quiet."])
+    statement = parse_statement("Bob is quiet.")
+    question = Question("t-q1", statement, "Bob is quiet.", assign_gold(theory, statement))
+    instance = Instance("t", theory, [question])
+    assert_lines_encode_the_reference_records(instance)
+    assert emit_training_records(instance) == {
+        "rs": [
+            '{"facts":[],"output":"STOP","question_id":"t-q1",'
+            '"rules":["If someone is blue then they are quiet."],"statement":"Bob is quiet."}\n'
+        ],
+        "fs": [],
+        "kc": [],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from rulechain.reasoner import (
     STOP_GOAL_REACHED,
     StaleDecisionError,
     Verdict,
+    _id_sort_key,
     applicable_bindings,
     check_proof,
     check_proofs,
@@ -411,6 +412,33 @@ def test_check_proof_rejects_unsorted_fact_ids(conj):
             parse_statement("Dave is happy."),
             LABEL_TRUE,
             "(sent2 & sent4 sent3) -> hypothesis",
+        )
+
+
+def test_id_sort_key_orders_ids_as_their_numbers_do():
+    """Digit strings stand in for ``int``, so that no id is too long to
+    sort; leading zeros tie, as they do under ``int``."""
+
+    def int_key(fid):
+        kind, digits = re.fullmatch(r"(sent|int)(\d+)", fid).groups()
+        return (kind == "int", int(digits))
+
+    numbers = (*range(13), 99, 100, 101, 999, 1000, 10**20)
+    ids = [f"{kind}{zeros}{n}" for kind in ("sent", "int") for zeros in ("", "0", "00")
+           for n in numbers]
+    for a, b in itertools.product(ids, repeat=2):
+        assert (_id_sort_key(a) < _id_sort_key(b)) == (int_key(a) < int_key(b))
+        assert (_id_sort_key(a) == _id_sort_key(b)) == (int_key(a) == int_key(b))
+
+
+def test_check_proof_names_an_id_too_long_for_int():
+    long_id = "sent" + "9" * 5000
+    with pytest.raises(ProofCheckError, match=f"^{long_id} is not a given fact$"):
+        check_proof(
+            parse_theory(SHARED_LINES),
+            parse_statement("Bob is big."),
+            LABEL_TRUE,
+            f"(sent2 & sent1 {long_id}) -> hypothesis",
         )
 
 
