@@ -24,10 +24,10 @@ and per end-to-end metric each side's
 values in pair order, their median and quartiles, the number of pairs
 in which the change was better, read by the ``better`` direction that the
 change's ``BENCHMARK.json`` declares, and a verdict. The verdict is
-``gain`` when the change won at least nine tenths of the pairs (ties count
-for neither side) and its median beats the base's by more than the
-distance between the base's quartiles; ``worse`` when the base did the
-same against the change; and ``unresolved`` otherwise. It also records the
+``gain`` when at least ten pairs ran, the change won at least nine tenths
+of them (ties count for neither side) and its median beats the base's by
+more than the distance between the base's quartiles; ``worse`` when the
+base did the same against the change; and ``unresolved`` otherwise. It also records the
 run length that run.py reports, both checkouts' commits and the machine.
 Only the standard library is used.
 """
@@ -42,6 +42,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("base", "change")
+# the fewest pairs on which a verdict other than "unresolved" may rest
+MIN_PAIRS = 10
 
 
 def run_side(checkout: Path, workload: str, seconds: float | None, seed: int) -> dict:
@@ -91,6 +93,8 @@ def verdict(row: dict, lost: int, sign: int) -> str:
     pairs = len(row["base"]["values"])
     margin = sign * (row["change"]["median"] - row["base"]["median"])
     noise = row["base"]["q3"] - row["base"]["q1"]
+    if pairs < MIN_PAIRS:
+        return "unresolved"
     if 10 * row["won"] >= 9 * pairs and margin > noise:
         return "gain"
     if 10 * lost >= 9 * pairs and -margin > noise:

@@ -72,6 +72,8 @@ def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_margin_over_the_quartiles()
     # every pair won, but by less than the base's quartile distance of 3.5
     small = qps_verdict(BASE, [b + 3 for b in BASE])
     assert (small["won"], small["verdict"]) == (10, "unresolved")
+    fewer = qps_verdict(BASE[:9], [b + 5 for b in BASE[:9]])  # nine pairs, all won
+    assert (fewer["won"], fewer["verdict"]) == (9, "unresolved")
 
 
 def test_worse_mirrors_gain_and_follows_the_direction():

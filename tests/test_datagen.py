@@ -33,6 +33,7 @@ from rulechain.datagen import (
     perturb,
     seed_substream,
 )
+from rulechain.jsonlio import read_jsonl
 from rulechain.reasoner import check_proof, run, solve, substitute
 from rulechain.strategies import make_strategy
 from rulechain.theory import (
@@ -46,8 +47,6 @@ from rulechain.theory import (
     parse_theory,
     render,
 )
-
-from rulechain.jsonlio import read_jsonl
 
 from conftest import diamond_ladder_lines
 from grammar_theories import facts, theories
