@@ -142,6 +142,12 @@ class GoldClosure:
         """The numbered atoms that every question's gold-proof search shares."""
         return _ProofIndex(self.given, self.derivations, self.depth)
 
+    @functools.cached_property
+    def proof_sets(self) -> dict[tuple[Atom, int], tuple[tuple[str, ...], bool]]:
+        """``_gold_proofs`` results by (target, cap): a statement and its
+        negation label from one target, which is enumerated once."""
+        return {}
+
 
 class _ProofIndex:
     """A closure's atoms as small ints, filled in as gold-proof search goes.
@@ -308,15 +314,19 @@ def _proof_assignments(index: _ProofIndex, target: int, limit: int):
     yield from itertools.islice(derive(target, {}, frozenset()), limit)
 
 
-def _gold_proofs(closure: GoldClosure, target: Atom, cap: int) -> tuple[list[str], bool]:
+def _gold_proofs(closure: GoldClosure, target: Atom, cap: int) -> tuple[tuple[str, ...], bool]:
     """Canonical proof strings of ``target``, minimal depth first, capped,
     and whether the cap or the enumeration limit cut the set.
 
     The search runs over the closure's ``proof_index``: atom numbers, with
     each atom's derivations sorted once per closure, so the order in which
     assignments are enumerated, and so which survive the hard limit, is a
-    function of the closure alone.
+    function of the closure alone. The result is kept in the closure's
+    ``proof_sets``.
     """
+    cached = closure.proof_sets.get((target, cap))
+    if cached is not None:
+        return cached
     hard_limit = max(8 * cap, 256)
     index = closure.proof_index
     root = index.number(target)
@@ -334,7 +344,8 @@ def _gold_proofs(closure: GoldClosure, target: Atom, cap: int) -> tuple[list[str
             count += 1
     ordered = sorted(found, key=lambda c: (found[c], c))
     truncated = len(ordered) > cap or count > hard_limit
-    return ordered[:cap], truncated
+    result = closure.proof_sets[target, cap] = (tuple(ordered[:cap]), truncated)
+    return result
 
 
 def assign_gold(
@@ -363,7 +374,7 @@ def assign_gold(
     ):
         if closure.knows(target):
             proofs, truncated = _gold_proofs(closure, target, proof_cap)
-            return GoldAnnotation(label, closure.depth[target], tuple(proofs), truncated)
+            return GoldAnnotation(label, closure.depth[target], proofs, truncated)
     return GoldAnnotation(LABEL_UNKNOWN, DEPTH_NA, ())
 
 

@@ -462,7 +462,7 @@ def solve(statement: Statement, trace: InferenceTrace, steps: int | None = None)
 def _id_sort_key(fid: str) -> tuple[int, int, str]:
     """Sentence ids before intermediates, each in the order of their
     numbers, compared as digit strings so that no id is too long to read."""
-    m = re.fullmatch(r"(sent|int)(\d+)", fid)
+    m = re.fullmatch(r"(sent|int)([0-9]+)", fid)
     if not m:
         raise ValueError(f"bad fact id {fid!r}")
     digits = m.group(2).lstrip("0")
@@ -552,9 +552,10 @@ def canonical_proof_string(
     return " ; ".join(segments), root[0]
 
 
-_GIVEN_PROOF_RE = re.compile(r"(sent\d+) -> hypothesis")
+_GIVEN_PROOF_RE = re.compile(r"(sent[0-9]+) -> hypothesis")
 _STEP_RE = re.compile(
-    r"\((sent\d+) & ((?:sent\d+|int\d+)(?: (?:sent\d+|int\d+))*)\) -> (int\d+|hypothesis)"
+    r"\((sent[0-9]+) & ((?:sent[0-9]+|int[0-9]+)(?: (?:sent[0-9]+|int[0-9]+))*)\)"
+    r" -> (int[0-9]+|hypothesis)"
 )
 
 

@@ -27,12 +27,20 @@ negative facts; nothing is inferred from absence.
 Parsing and rendering are exact inverses: ``render(parse_sentence(s))``
 reproduces ``s`` for every grammatical sentence (rules carry just enough
 surface-style metadata to make this hold).
+
+The logical forms ``Entity``, ``Var``, ``IsAttr``, ``Rel`` and ``Atom`` are
+named tuples, so they compare and hash as the tuple of their fields, and
+construction, hashing and equality run in C. Their arities keep the two
+kinds of subject apart (``Entity`` has two fields, ``Var`` one), and the two
+kinds of predicate (``IsAttr`` one, ``Rel`` two). A subject and a predicate
+never share a position, and the variable's name "X" is no attribute.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 from .vocab import (
     PERSON_NOUNS,
@@ -85,28 +93,35 @@ class TheoryParseError(ValueError):
         super().__init__(f"{len(errors)} bad sentence(s): {lines}")
 
 
-@dataclass(frozen=True)
-class Entity:
-    """A proper name ("Charlie") or a common noun ("the janitor")."""
-
+class _EntityFields(NamedTuple):
     kind: str  # PROPER | COMMON
     surface: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in (PROPER, COMMON):
-            raise ValueError(f"bad entity kind {self.kind!r}")
-        if self.kind == PROPER and not self.surface[:1].isupper():
-            raise ValueError(f"proper name must be capitalized: {self.surface!r}")
-        if self.kind == COMMON and not self.surface.islower():
-            raise ValueError(f"common noun must be lowercase: {self.surface!r}")
+
+class Entity(_EntityFields):
+    """A proper name ("Charlie") or a common noun ("the janitor").
+
+    A tuple (kind, surface); ``__new__`` checks both. The tuple's ``_make``
+    and ``_replace`` skip the checks, and nothing calls them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, surface: str) -> Entity:
+        if kind not in (PROPER, COMMON):
+            raise ValueError(f"bad entity kind {kind!r}")
+        if kind == PROPER and not surface[:1].isupper():
+            raise ValueError(f"proper name must be capitalized: {surface!r}")
+        if kind == COMMON and not surface.islower():
+            raise ValueError(f"common noun must be lowercase: {surface!r}")
+        return tuple.__new__(cls, (kind, surface))
 
     @property
     def is_person(self) -> bool:
         return self.kind == PROPER or self.surface in PERSON_NOUNS
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     """The single rule variable. At most one per rule, subject position only."""
 
     name: str = "X"
@@ -115,15 +130,13 @@ class Var:
 X = Var()
 
 
-@dataclass(frozen=True)
-class IsAttr:
+class IsAttr(NamedTuple):
     """Unary predicate: the subject has this attribute."""
 
     attr: str
 
 
-@dataclass(frozen=True)
-class Rel:
+class Rel(NamedTuple):
     """Binary predicate: <subject> <verb> <obj>. ``verb`` is the base form.
     The object is never the rule variable; ``Rule`` rejects one."""
 
@@ -131,8 +144,10 @@ class Rel:
     obj: Entity
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
+    """A predicate of a subject, asserted or denied; ground unless the
+    subject is the variable."""
+
     subject: Entity | Var
     pred: IsAttr | Rel
     positive: bool = True
@@ -141,7 +156,7 @@ class Atom:
     def is_ground(self) -> bool:
         return not isinstance(self.subject, Var)
 
-    def negated(self) -> "Atom":
+    def negated(self) -> Atom:
         return Atom(self.subject, self.pred, not self.positive)
 
 
@@ -259,7 +274,7 @@ class Theory:
         return list(seen)
 
 
-_SENTENCE_ID_RE = re.compile(r"sent(\d+)")
+_SENTENCE_ID_RE = re.compile(r"sent([0-9]+)")
 
 
 def sentence_number(sid: str) -> int:

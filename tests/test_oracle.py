@@ -41,6 +41,7 @@ from rulechain.theory import (
     Atom,
     Statement,
     Var,
+    negate,
     parse_sentence,
     parse_statement,
     parse_theory,
@@ -538,3 +539,27 @@ def test_gold_proofs_render_each_premise_at_most_once_per_closure(monkeypatch):
     for text in diamond_statements():
         assign_gold(theory, parse_statement(text), closure)
     assert 0 < len(calls) <= premises
+
+
+def test_a_statement_and_its_negation_enumerate_their_target_once(monkeypatch):
+    """Both polarities label from one known target, so its proof set is
+    enumerated once per (closure, cap), and what both receive is immutable."""
+    theory = parse_theory(diamond_lines(), "diamond")
+    closure = gold_closure(theory)
+    calls = []
+    original = datagen_module._proof_assignments
+
+    def counting(index, target, limit):
+        calls.append(target)
+        return original(index, target, limit)
+
+    monkeypatch.setattr(datagen_module, "_proof_assignments", counting)
+    statement = parse_statement(diamond_statements()[0])
+    assert closure.knows(statement.atom) and statement.atom not in closure.given
+    first = assign_gold(theory, statement, closure)
+    second = assign_gold(theory, negate(statement), closure)
+    assert len(calls) == 1
+    assert (first.label, second.label) == (LABEL_TRUE, LABEL_FALSE)
+    assert first.proofs is second.proofs and isinstance(first.proofs, tuple)
+    assert assign_gold(theory, statement, closure, proof_cap=1).proofs == first.proofs[:1]
+    assert len(calls) == 2

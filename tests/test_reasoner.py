@@ -442,6 +442,18 @@ def test_check_proof_names_an_id_too_long_for_int():
         )
 
 
+@pytest.mark.parametrize(
+    "proof", ["sent\u0663 -> hypothesis", "(sent2 & sent3 sent\u0663) -> hypothesis"]
+)
+def test_check_proof_reads_only_ascii_digits_in_ids(conj, proof):
+    """An id spelled with a non-ASCII digit (ARABIC-INDIC DIGIT THREE) is
+    no id: its step is malformed, whatever the digit's value."""
+    with pytest.raises(ProofCheckError, match="^malformed step "):
+        check_proof(conj, parse_statement("Dave is happy."), LABEL_TRUE, proof)
+    with pytest.raises(ValueError, match="^bad fact id "):
+        _id_sort_key("sent\u0663")
+
+
 def test_check_proof_rejects_dangling_intermediates(diamond):
     dangling = (
         "(sent2 & sent1) -> int1 ; (sent3 & sent1) -> int2 ; "

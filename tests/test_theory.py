@@ -26,6 +26,7 @@ from rulechain.theory import (
     parse_statement,
     parse_theory,
     render,
+    sentence_number,
 )
 
 import reference_parser
@@ -324,15 +325,74 @@ def test_rule_variable_never_in_object_position(where):
 
 
 def test_entity_surface_case_is_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bad entity kind 'name'$"):
+        Entity("name", "Bob")
+    with pytest.raises(ValueError, match="^proper name must be capitalized: 'bob'$"):
         Entity(PROPER, "bob")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^common noun must be lowercase: 'Cat'$"):
         Entity(COMMON, "Cat")
 
 
 def test_statement_must_be_ground():
     with pytest.raises(ValueError):
         Statement(Atom(Var("X"), IsAttr("blue"), True))
+
+
+# ---------------------------------------------------------------------------
+# Value types: immutable tuples
+# ---------------------------------------------------------------------------
+
+_BOB = Entity(PROPER, "Bob")
+_VALUES = [
+    _BOB,
+    X,
+    IsAttr("red"),
+    Rel("like", Entity(COMMON, "cat")),
+    Atom(_BOB, IsAttr("red")),
+]
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda v: type(v).__name__)
+def test_value_fields_cannot_be_assigned(value):
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], value[0])
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_atoms_hash_as_the_tuple_of_their_fields():
+    for a in (Atom(_BOB, IsAttr("red")), Atom(_BOB, Rel("like", _BOB), False)):
+        assert hash(a) == hash((a.subject, a.pred, a.positive))
+        assert a == (a.subject, a.pred, a.positive)
+        assert a.negated().negated() == a and a.negated() != a
+
+
+def test_value_reprs_name_their_fields():
+    cat = Entity(COMMON, "cat")
+    assert repr(Atom(X, Rel("like", cat), False)) == (
+        "Atom(subject=Var(name='X'), pred=Rel(verb='like', "
+        "obj=Entity(kind='common', surface='cat')), positive=False)"
+    )
+    assert repr(Atom(_BOB, IsAttr("red"))) == (
+        "Atom(subject=Entity(kind='proper', surface='Bob'), "
+        "pred=IsAttr(attr='red'), positive=True)"
+    )
+
+
+def test_the_variable_equals_no_attribute():
+    """``Var`` and ``IsAttr`` are both 1-tuples, so they are kept apart by
+    the variable's name: an attribute is a lowercase word, and "X" is not."""
+    with pytest.raises(ParseError, match="expected an attribute, found 'X'"):
+        parse_sentence(f"Bob is {X.name}.")
+    for attr in (*vocab.GEN_ATTRIBUTES, *vocab.REPLACEMENT_ATTRIBUTES):
+        pred = parse_sentence(f"Bob is {attr}.").atom.pred
+        assert pred == IsAttr(attr) and pred != Var()
+
+
+def test_sentence_ids_read_only_ascii_digits():
+    assert sentence_number("sent12") == 12
+    with pytest.raises(ValueError, match="^bad sentence id "):
+        sentence_number("sent\u0663")
 
 
 # ---------------------------------------------------------------------------
