@@ -144,8 +144,7 @@ class GoldClosure:
 
     @functools.cached_property
     def proof_sets(self) -> dict[tuple[Atom, int], tuple[tuple[str, ...], bool]]:
-        """``_gold_proofs`` results by (target, cap): a statement and its
-        negation label from one target, which is enumerated once."""
+        """``_gold_proofs`` results by (target, cap), which both polarities share."""
         return {}
 
 
