@@ -915,6 +915,9 @@ def instance_from_json(obj: dict) -> Instance:
     texts = [sentences[sid] for sid in ids]
     if not all(isinstance(text, str) for text in texts):
         raise ValueError(f"instance {obj['id']}: sentences must be strings")
+    blank = [sid for sid, text in zip(ids, texts) if not text.strip()]
+    if blank:  # parse_theory would skip it and renumber the sentences after it
+        raise ValueError(f"instance {obj['id']}: {blank[0]} is blank")
     theory = parse_theory(texts, obj["id"])
     questions = []
     for q in obj["questions"]:

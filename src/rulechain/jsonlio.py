@@ -37,7 +37,7 @@ def read_jsonl(path: "str | Path") -> list[dict]:
                 continue
             try:
                 rows.append(json.loads(line))
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:  # or nested too deeply
                 raise ValueError(f"{path}:{lineno}: bad JSON line: {e}") from e
     return rows
 

@@ -27,9 +27,11 @@ through it. The writer classifies each premise once, as a leaf or a derived
 step, and writes each step as it numbers it; it returns the proof's depth
 with the string, which ``solve`` drops and gold labelling ranks by. The
 reader accepts exactly the strings the writer can produce: a sound proof
-written in any other way is rejected as not in canonical form. It works on
-the compiled tables' atom numbers, reads each distinct segment text and
-each distinct step once per theory, and composes steps through
+written in any other way is rejected as not in canonical form, and the
+writer is the only statement of that form, which the reader asks whenever
+its soundness checks leave the string open. It works on the compiled
+tables' atom numbers, reads each distinct segment text and each distinct
+step once per theory, and composes steps through
 ``CompiledTheory.compose``, which grounds rules through the same ``ground``
 as the engine, so rules are grounded in one place.
 """
@@ -184,8 +186,8 @@ class CompiledTheory:
     number they compose to; ``proof_segments`` and ``proof_steps`` keep what
     ``check_proofs`` read from each proof segment text and composed for each
     (rule index, premise numbers), so every gold set of a theory shares
-    them. ``recited_ids`` holds the sentence ids that canonical proofs never
-    cite: those of a repeated fact other than its last.
+    them. ``repeats_fact`` says whether the theory states one fact twice, so
+    that canonical proofs cite only one of its sentence ids (the last).
     """
 
     def __init__(self, theory: Theory):
@@ -199,7 +201,7 @@ class CompiledTheory:
         self.given_facts = dict(zip(self.given_numbers, theory.facts))
         self.given_ids = {n: f.id for n, f in self.given_facts.items()}
         self.sentence_numbers = {f.id: n for f, n in zip(theory.facts, self.given_numbers)}
-        self.recited_ids = self.sentence_numbers.keys() - self.given_ids.values()
+        self.repeats_fact = len(self.given_ids) < len(theory.facts)
         self.contradiction = any(n ^ 1 in self.given_facts for n in self.given_facts)
         # (pred, positive) -> rules with such a premise
         self.by_premise: dict[tuple, list[tuple[int, Rule, Atom]]] = {}
@@ -489,7 +491,9 @@ def canonical_proof_string(
     Steps come in a canonical topological order that is a function of the
     DAG alone: each step's derived premises are visited in order of a
     structural key built from rule ids and leaf sentence ids, which is
-    stable under vocabulary renamings.
+    stable under vocabulary renamings. The DAG is walked with explicit
+    stacks, so no depth is too deep to write; a derivation that reaches
+    its own atom raises ValueError.
     """
     if target not in derivations and target in given_ids:
         return f"{given_ids[target]} -> hypothesis", 0
@@ -497,59 +501,88 @@ def canonical_proof_string(
     # in visiting order, intN number once written or 0, structural key or
     # None until a sort needs it]
     steps: dict[Hashable, list] = {}
-
-    def classify(atom: Hashable) -> list:
-        step = steps.get(atom)
-        if step is None:
-            rule_id, premises = derivations[atom]
-            leaves: list[str] = []
-            children: list[list] = []
-            depth = 0
+    opened: set = set()  # atoms whose derived premises were pushed
+    stack = [target]
+    while stack:
+        atom = stack[-1]
+        if atom in steps:
+            stack.pop()
+            continue
+        rule_id, premises = derivations[atom]
+        if atom not in opened:
+            opened.add(atom)
+            below = len(stack)
             for p in premises:
-                sid = given_ids.get(p)
-                if sid is None:
-                    child = classify(p)
-                    children.append(child)
-                    if child[0] > depth:
-                        depth = child[0]
-                else:
-                    leaves.append(sid)
-            if len(leaves) > 1:
-                leaves.sort(key=_id_sort_key)
-            if len(children) > 1:
-                children.sort(key=structural_key)
-            step = steps[atom] = [depth + 1, rule_id, leaves, children, 0, None]
-        return step
-
-    def structural_key(step: list) -> tuple:
-        key = step[5]
-        if key is None:
-            key = step[5] = (
-                _id_sort_key(step[1]),
-                tuple([_id_sort_key(sid) for sid in step[2]]),
-                tuple([structural_key(child) for child in step[3]]),
-            )
-        return key
+                if p not in steps and p not in given_ids:
+                    if p in opened:
+                        raise ValueError("the derivations are cyclic")
+                    stack.append(p)
+            if len(stack) > below:
+                continue
+        stack.pop()
+        leaves: list[str] = []
+        children: list[list] = []
+        depth = 0
+        for p in premises:
+            sid = given_ids.get(p)
+            if sid is None:
+                child = steps[p]
+                children.append(child)
+                if child[0] > depth:
+                    depth = child[0]
+            else:
+                leaves.append(sid)
+        if len(leaves) > 1:
+            leaves.sort(key=_id_sort_key)
+        if len(children) > 1:
+            children.sort(key=_structural_key)
+        steps[atom] = [depth + 1, rule_id, leaves, children, 0, None]
 
     segments: list[str] = []
-
-    def write(step: list) -> str:
-        """Write the segments of the steps below ``step``, post-order, and
-        return its own segment up to its target."""
-        ints: list[int] = []
-        for child in step[3]:
+    root = steps[target]
+    # (step, its children not yet visited, its children's intN numbers)
+    frames = [(root, iter(root[3]), [])]
+    while frames:
+        step, children, ints = frames[-1]
+        for child in children:
             if not child[4]:
-                segments.append(write(child) + f"int{len(segments) + 1}")
-                child[4] = len(segments)
+                frames.append((child, iter(child[3]), []))
+                break
             ints.append(child[4])
-        if len(ints) > 1:
-            ints.sort()
-        labels = step[2] + [f"int{n}" for n in ints]
-        return f"({step[1]} & {' '.join(labels)}) -> "
-
-    root = classify(target)
-    segments.append(write(root) + "hypothesis")
+        else:
+            frames.pop()
+            if len(ints) > 1:
+                ints.sort()
+            labels = step[2] + [f"int{n}" for n in ints]
+            text = f"({step[1]} & {' '.join(labels)}) -> "
+            if frames:
+                segments.append(text + f"int{len(segments) + 1}")
+                step[4] = len(segments)
+                frames[-1][2].append(step[4])
+            else:
+                segments.append(text + "hypothesis")
     return " ; ".join(segments), root[0]
+
+
+def _structural_key(step: list) -> tuple:
+    """The sort key of a classified step of ``canonical_proof_string``:
+    its rule id, its leaf sentence ids and its children's keys, built
+    bottom-up over the descendants that have none yet and kept on them."""
+    stack = [step]
+    while stack:
+        s = stack[-1]
+        if s[5] is None:
+            pending = [child for child in s[3] if child[5] is None]
+            if pending:
+                stack += pending
+                continue
+            s[5] = (
+                _id_sort_key(s[1]),
+                tuple([_id_sort_key(sid) for sid in s[2]]),
+                tuple([child[5] for child in s[3]]),
+            )
+        stack.pop()
+    return step[5]
 
 
 _GIVEN_PROOF_RE = re.compile(r"(sent[0-9]+) -> hypothesis")
@@ -586,13 +619,15 @@ def check_proofs(
     in canonical form. ``label`` says what the proofs claim: "true" (proves
     the statement) or "false" (proves its negation).
 
-    A sound proof is in canonical form when it cites each given atom by the
-    writer's sentence id (the last one, for a repeated fact), names no given
-    atom as an intermediate, derives no atom twice, and lists its steps in
-    the writer's order. Every other check already fixes that order unless a
-    step has two or more intermediate premises, so only such proofs are
-    walked in the writer's order. These checks come after all others, so a
-    proof that also fails another check raises that check's error.
+    A sound proof is in canonical form when ``canonical_proof_string``
+    writes it from the derivations it names. The soundness checks already
+    fix that string unless a step has two or more intermediate premises, an
+    intermediate is a given fact, one atom (the hypothesis included) is
+    derived twice, or the theory states a fact twice; only then is the
+    writer asked, keeping each atom's first derivation. A mismatch raises
+    ``not in canonical form: the writer gives '...'`` with the writer's
+    string. This comes after all other checks, so a proof that also fails
+    another check raises that check's error.
 
     Each distinct step is worked out once per theory, and kept on its
     compiled tables. A segment's text alone fixes its rule, its sentence
@@ -633,8 +668,8 @@ def _check_form(
             raise ProofCheckError(f"{fid} is not a given fact")
         if n != goal:
             raise ProofCheckError("given fact does not match the hypothesis")
-        if fid in tables.recited_ids:
-            raise ProofCheckError(_recited(tables, fid))
+        if tables.repeats_fact:
+            _check_written(tables, goal, canonical_form, [])
         return []
 
     segments = canonical_form.split(" ; ")
@@ -711,70 +746,32 @@ def _check_form(
     if len(used) != len(bound):
         raise ProofCheckError(f"unused intermediates: {sorted(set(bound) - used)}")
 
-    if tables.recited_ids:
-        for seg in segments:
-            for fid in _STEP_RE.fullmatch(seg).group(2).split(" "):
-                if fid in tables.recited_ids:
-                    raise ProofCheckError(_recited(tables, fid))
-    if bound:
-        atoms = set(bound.values())
-        if (
-            len(atoms) < len(bound)
-            or goal in atoms
-            or not tables.given_facts.keys().isdisjoint(atoms)
-        ):
-            raise ProofCheckError(_rederived(tables, goal, list(bound.values())))
-        if branching:
-            _check_order(segments, [[int(fid[3:]) for fid in texts[seg][2]] for seg in segments])
+    # what the soundness checks leave open: the writer decides
+    atoms = set(bound.values())
+    if (
+        len(atoms) < len(bound)
+        or goal in atoms
+        or not tables.given_facts.keys().isdisjoint(atoms)
+        or tables.repeats_fact
+        or branching
+    ):
+        _check_written(tables, goal, canonical_form, found)
     return found
 
 
-def _recited(tables: CompiledTheory, fid: str) -> str:
-    sid = tables.given_ids[tables.sentence_numbers[fid]]
-    return f"not in canonical form: {fid} repeats {sid}, which the canonical form cites"
-
-
-def _rederived(tables: CompiledTheory, goal: int, derived: list[int]) -> str:
-    """Why a proof whose intermediates are the atoms ``derived`` (in order)
-    is not canonical: the first intermediate that is a given fact, else the
-    first step that derives an atom again."""
-    for j, n in enumerate(derived, 1):
-        if n in tables.given_facts:
-            return f"not in canonical form: int{j} is the given fact {tables.given_ids[n]}"
-    derived = [*derived, goal]
-    k = next(k for k, n in enumerate(derived) if n in derived[:k])
-    name = "the hypothesis" if k == len(derived) - 1 else f"int{k + 1}"
-    return f"not in canonical form: {name} derives the atom of int{derived.index(derived[k]) + 1}"
-
-
-def _check_order(segments: list[str], kids: list[list[int]]) -> None:
-    """Raise unless the steps come in the writer's order: post-order from
-    the hypothesis step, each step's intermediate premises (``kids``, the N
-    of each intN per segment) visited in order of the writer's structural
-    key, each step written when first visited. Every other check has
-    passed, so intN is segment N and no two segments derive one atom."""
-    keys: dict[int, tuple] = {}
-
-    def key(k: int) -> tuple:
-        found = keys.get(k)
-        if found is None:
-            rule_id, fact_part, _ = _STEP_RE.fullmatch(segments[k]).groups()
-            found = keys[k] = (
-                _id_sort_key(rule_id),
-                tuple(_id_sort_key(f) for f in fact_part.split(" ") if f[0] == "s"),
-                tuple(sorted(key(j - 1) for j in kids[k])),
-            )
-        return found
-
-    written = 0
-
-    def write(k: int) -> None:
-        nonlocal written
-        for j in sorted(kids[k], key=lambda j: key(j - 1)):
-            if j > written:
-                write(j - 1)
-        written += 1
-        if written != k + 1:
-            raise ProofCheckError("not in canonical form: steps out of the canonical order")
-
-    write(len(segments) - 1)
+def _check_written(
+    tables: CompiledTheory,
+    goal: int,
+    canonical_form: str,
+    found: list[tuple[str, tuple[Atom, ...], Atom]],
+) -> None:
+    """Raise unless the writer gives ``canonical_form`` for the derivations
+    its sound steps ``found`` name. An atom derived twice keeps its first
+    derivation, which keeps the map acyclic."""
+    number = tables.number
+    derivations: dict[int, tuple[str, tuple[int, ...]]] = {}
+    for rule_id, premises, conclusion in found:
+        derivations.setdefault(number(conclusion), (rule_id, tuple(map(number, premises))))
+    written, _ = canonical_proof_string(goal, tables.given_ids, derivations)
+    if written != canonical_form:
+        raise ProofCheckError(f"not in canonical form: the writer gives {written!r}")

@@ -4,7 +4,9 @@ Exit-code contract: 0 success, 1 validation, 2 I/O. Everything runs
 in-process against tmp_path files; one subprocess test covers the
 ``python -m`` entry.
 """
+import itertools
 import json
+import string
 import subprocess
 import sys
 
@@ -25,6 +27,20 @@ from conftest import (
 )
 
 CHAIN2_PROOF = "(sent2 & sent1) -> int1 ; (sent3 & int1) -> hypothesis"
+# deeper than Python's default recursion limit of 1,000 frames
+DEEP_STEPS = 1200
+
+
+def deep_chain(steps=DEEP_STEPS):
+    """``Bob is qaaa.`` and ``steps`` rules that chain one attribute to the
+    next; the statement at the end of the chain and its canonical proof."""
+    names = ["q" + "".join(t) for t in itertools.product(string.ascii_lowercase, repeat=3)]
+    lines = [f"Bob is {names[0]}."]
+    lines += [f"If someone is {names[k]} then they are {names[k + 1]}." for k in range(steps)]
+    segments = ["(sent2 & sent1) -> int1"]
+    segments += [f"(sent{k + 1} & int{k - 1}) -> int{k}" for k in range(2, steps)]
+    segments.append(f"(sent{steps + 1} & int{steps - 1}) -> hypothesis")
+    return lines, f"Bob is {names[steps]}.", " ; ".join(segments)
 
 
 def run_cli(capsys, *argv):
@@ -293,6 +309,21 @@ class TestSolve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("strategy", ["goal", "exhaustive"])
+    def test_a_1200_step_chain_is_solved_and_its_proof_checks(self, tmp_path, capsys, strategy):
+        lines, statement, proof = deep_chain()
+        path = tmp_path / "deep.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "solve", "--theory", str(path), "--statement", statement,
+            "--strategy", strategy,
+        )
+        assert code == 0, err
+        blob = json.loads(out)
+        assert (blob["label"], blob["proof"]) == ("true", proof)
+        steps = check_proof(parse_theory(lines), parse_statement(statement), LABEL_TRUE, proof)
+        assert len(steps) == DEEP_STEPS
+
 
 # ---------------------------------------------------------------------------
 # eval
@@ -368,6 +399,22 @@ class TestEval:
         )
         assert code == 1
         assert "t00002" in err
+
+    def test_a_row_with_a_1200_step_gold_proof_is_scored(self, tmp_path, capsys):
+        lines, statement, proof = deep_chain()
+        path = tmp_path / "deep.jsonl"
+        write_jsonl(path, [{
+            "id": "d1",
+            "sentences": {f"sent{i}": text for i, text in enumerate(lines, start=1)},
+            "questions": [{"id": "d1-q1", "text": statement, "label": "true",
+                           "depth": DEEP_STEPS, "proofs": [proof]}],
+        }])
+        report_path = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "eval", "--data", str(path), "--report", str(report_path))
+        assert code == 0, err
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        total = next(r for r in report["rows"] if r["depth"] == "All")
+        assert (total["n"], total["proof_accuracy"]) == (1, 1.0)
 
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "eval", "--data", str(tmp_path / "absent.jsonl"))
@@ -489,6 +536,20 @@ MALFORMED_ROWS = {
         " (id 'x')",
         "unknown questions have depth 'N/A'",
     ),
+    # parse_theory skips a blank line, which would make sent2 the row's sent1
+    "blank_sentence": (
+        '{"id":"x","sentences":{"sent1":"","sent2":"Bob is red.",'
+        '"sent3":"If someone is red then they are big."},"questions":[{"id":"x-q1",'
+        '"text":"Bob is big.","label":"true","depth":1,"proofs":["(sent2 & sent1) -> hypothesis"]}]}',
+        " (id 'x')",
+        "instance x: sent1 is blank",
+    ),
+    "whitespace_sentence": (
+        '{"id":"x","sentences":{"sent1":"Bob is red.","sent2":" \\t"},"questions":[]}',
+        " (id 'x')",
+        "instance x: sent2 is blank",
+    ),
+    "nested_too_deeply": ("[" * 100_000, "", "bad JSON line: "),
     "string_truncation_flag": (
         '{"id":"x","sentences":{"sent1":"Bob is blue."},"questions":[{"id":"x-q1",'
         '"text":"Bob is blue.","label":"true","depth":0,"proofs":["sent1 -> hypothesis"],'
@@ -613,7 +674,7 @@ class TestMalformedRows:
         assert code == 1
         assert err == (
             f"error: {bad}:3 (id 's1-q1'): not in canonical form: "
-            "steps out of the canonical order\n"
+            f"the writer gives {SHARED_PROOF!r}\n"
         )
 
     def test_a_gold_proof_citing_a_5000_digit_id_exits_1_with_location(

@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings
 
-from rulechain.datagen import instance_from_json
+from rulechain import reasoner
+from rulechain.datagen import GenConfig, generate_dataset, instance_from_json
 from rulechain.evalkit import build_report, predict_instances
 from rulechain.jsonlio import read_jsonl
 from rulechain.reasoner import (
@@ -25,6 +26,7 @@ from rulechain.reasoner import (
     Verdict,
     _id_sort_key,
     applicable_bindings,
+    canonical_proof_string,
     check_proof,
     check_proofs,
     compile_theory,
@@ -463,54 +465,56 @@ def test_check_proof_rejects_dangling_intermediates(diamond):
         check_proof(diamond, parse_statement("Bob is smart."), LABEL_TRUE, dangling)
 
 
-@pytest.mark.parametrize(
-    "lines, statement, proof, message",
-    [
-        (  # independent steps swapped
-            ["Bob is red.", "Bob is big.", "If someone is red then they are kind.",
-             "If someone is big then they are nice.",
-             "If someone is kind and they are nice then they are rough."],
-            "Bob is rough.",
-            "(sent4 & sent2) -> int1 ; (sent3 & sent1) -> int2 ; (sent5 & int1 int2) -> hypothesis",
-            "steps out of the canonical order",
-        ),
-        (  # an intermediate that is a given fact
-            ["Bob is red.", "If someone is red then they are kind.",
-             "If someone is kind then they are red.", "If someone is red then they are nice."],
-            "Bob is nice.",
-            "(sent2 & sent1) -> int1 ; (sent3 & int1) -> int2 ; (sent4 & int2) -> hypothesis",
-            "int2 is the given fact sent1",
-        ),
-        (  # one atom derived twice
-            ["Bob is red.", "If someone is red then they are big.",
-             "If someone is big then they are kind.", "If someone is kind then they are big.",
-             "If someone is big then they are nice."],
-            "Bob is nice.",
-            "(sent2 & sent1) -> int1 ; (sent3 & int1) -> int2 ; (sent4 & int2) -> int3 ; "
-            "(sent5 & int3) -> hypothesis",
-            "int3 derives the atom of int1",
-        ),
-        (  # the hypothesis derived as an intermediate first
-            ["Bob is red.", "If someone is red then they are big.",
-             "If someone is big then they are kind.", "If someone is kind then they are big."],
-            "Bob is big.",
-            "(sent2 & sent1) -> int1 ; (sent3 & int1) -> int2 ; (sent4 & int2) -> hypothesis",
-            "the hypothesis derives the atom of int1",
-        ),
-        (  # a repeated fact cited by its first id
-            ["Bob is red.", "If someone is red then they are kind.", "Bob is red."],
-            "Bob is kind.",
-            "(sent2 & sent1) -> hypothesis",
-            "sent1 repeats sent3, which the canonical form cites",
-        ),
-        (
-            ["Bob is red.", "If someone is red then they are kind.", "Bob is red."],
-            "Bob is red.",
-            "sent1 -> hypothesis",
-            "sent1 repeats sent3, which the canonical form cites",
-        ),
-    ],
-)
+# Sound proofs that the writer would not write, with the message each raises.
+SOUND_BUT_NOT_WRITTEN = [
+    (  # independent steps swapped
+        ["Bob is red.", "Bob is big.", "If someone is red then they are kind.",
+         "If someone is big then they are nice.",
+         "If someone is kind and they are nice then they are rough."],
+        "Bob is rough.",
+        "(sent4 & sent2) -> int1 ; (sent3 & sent1) -> int2 ; (sent5 & int1 int2) -> hypothesis",
+        "the writer gives '(sent3 & sent1) -> int1 ; (sent4 & sent2) -> int2 ; "
+        "(sent5 & int1 int2) -> hypothesis'",
+    ),
+    (  # an intermediate that is a given fact
+        ["Bob is red.", "If someone is red then they are kind.",
+         "If someone is kind then they are red.", "If someone is red then they are nice."],
+        "Bob is nice.",
+        "(sent2 & sent1) -> int1 ; (sent3 & int1) -> int2 ; (sent4 & int2) -> hypothesis",
+        "the writer gives '(sent4 & sent1) -> hypothesis'",
+    ),
+    (  # one atom derived twice
+        ["Bob is red.", "If someone is red then they are big.",
+         "If someone is big then they are kind.", "If someone is kind then they are big.",
+         "If someone is big then they are nice."],
+        "Bob is nice.",
+        "(sent2 & sent1) -> int1 ; (sent3 & int1) -> int2 ; (sent4 & int2) -> int3 ; "
+        "(sent5 & int3) -> hypothesis",
+        "the writer gives '(sent2 & sent1) -> int1 ; (sent5 & int1) -> hypothesis'",
+    ),
+    (  # the hypothesis derived as an intermediate first
+        ["Bob is red.", "If someone is red then they are big.",
+         "If someone is big then they are kind.", "If someone is kind then they are big."],
+        "Bob is big.",
+        "(sent2 & sent1) -> int1 ; (sent3 & int1) -> int2 ; (sent4 & int2) -> hypothesis",
+        "the writer gives '(sent2 & sent1) -> hypothesis'",
+    ),
+    (  # a repeated fact cited by its first id
+        ["Bob is red.", "If someone is red then they are kind.", "Bob is red."],
+        "Bob is kind.",
+        "(sent2 & sent1) -> hypothesis",
+        "the writer gives '(sent2 & sent3) -> hypothesis'",
+    ),
+    (
+        ["Bob is red.", "If someone is red then they are kind.", "Bob is red."],
+        "Bob is red.",
+        "sent1 -> hypothesis",
+        "the writer gives 'sent3 -> hypothesis'",
+    ),
+]
+
+
+@pytest.mark.parametrize("lines, statement, proof, message", SOUND_BUT_NOT_WRITTEN)
 def test_check_proof_rejects_a_sound_proof_the_writer_would_not_write(
     lines, statement, proof, message
 ):
@@ -562,6 +566,75 @@ def test_a_gold_set_checks_like_its_proofs_one_by_one(name):
             ann = q.annotation
             alone = [check_proof(inst.theory, q.statement, ann.label, p) for p in ann.proofs]
             assert check_proofs(inst.theory, q.statement, ann.label, ann.proofs) == alone
+
+
+def count_writer_calls(monkeypatch) -> list:
+    """The argument tuples of every call the checker makes to the writer."""
+    calls = []
+    writer = reasoner.canonical_proof_string
+
+    def counted(*args):
+        calls.append(args)
+        return writer(*args)
+
+    monkeypatch.setattr(reasoner, "canonical_proof_string", counted)
+    return calls
+
+
+def test_gold_sets_check_without_asking_the_writer(monkeypatch):
+    """Every gold proof of the golden datasets and of a seed-0 corpus is a
+    chain of distinct derived atoms over a theory that states no fact twice,
+    so the soundness checks alone fix its string."""
+    instances = [inst for name in ("corpus", "chain", "diamond", "ladder")
+                 for inst in golden_instances(name)]
+    instances += generate_dataset(GenConfig(seed=0))
+    calls = count_writer_calls(monkeypatch)
+    chains = 0  # proofs with at least one intermediate
+    for inst in instances:
+        for q in inst.questions:
+            ann = q.annotation
+            checked = check_proofs(inst.theory, q.statement, ann.label, ann.proofs)
+            chains += sum(len(steps) > 1 for steps in checked)
+    assert chains > 200
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "lines, statement, proof",
+    [(lines, statement, proof) for lines, statement, proof, _ in SOUND_BUT_NOT_WRITTEN]
+    + [(SHARED_LINES, SHARED_STATEMENT, FAULTY_AFTER_SHARED["swapped_siblings"])],
+)
+def test_a_proof_the_writer_would_not_write_is_compared_with_the_writer(
+    monkeypatch, lines, statement, proof
+):
+    calls = count_writer_calls(monkeypatch)
+    with pytest.raises(ProofCheckError, match="^not in canonical form: the writer gives "):
+        check_proof(parse_theory(lines), parse_statement(statement), LABEL_TRUE, proof)
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "derivations",
+    [
+        {1: ("sent2", (1,))},
+        {1: ("sent2", (2,)), 2: ("sent3", (1,))},
+        {1: ("sent2", (0, 2)), 2: ("sent3", (3,)), 3: ("sent4", (2,))},
+    ],
+    ids=["self", "through_the_target", "below_the_target"],
+)
+def test_the_writer_rejects_a_cyclic_derivation_map(derivations):
+    with pytest.raises(ValueError, match="^the derivations are cyclic$"):
+        canonical_proof_string(1, {0: "sent1"}, derivations)
+
+
+def test_the_writer_writes_a_chain_deeper_than_the_recursion_limit():
+    n = 5000
+    derivations = {k: (f"sent{k + 1}", (k - 1,)) for k in range(1, n + 1)}
+    proof, depth = canonical_proof_string(n, {0: "sent1"}, derivations)
+    segments = proof.split(" ; ")
+    assert depth == n
+    assert segments[:2] == ["(sent2 & sent1) -> int1", "(sent3 & int1) -> int2"]
+    assert segments[-1] == f"(sent{n + 1} & int{n - 1}) -> hypothesis"
 
 
 @pytest.mark.parametrize("case", sorted(FAULTY_AFTER_SHARED))
