@@ -26,12 +26,11 @@ a question's whole gold set in one call; ``check_proof`` checks one proof
 through it. The writer classifies each premise once, as a leaf or a derived
 step, and writes each step as it numbers it; it returns the proof's depth
 with the string, which ``solve`` drops and gold labelling ranks by. The
-reader accepts exactly the strings the writer can produce: a sound proof
-written in any other way is rejected as not in canonical form, and the
-writer is the only statement of that form, which the reader asks whenever
-its soundness checks leave the string open. It works on the compiled
-tables' atom numbers, reads each distinct segment text and each distinct
-step once per theory, and composes steps through
+reader accepts exactly the strings the writer can produce: it asks the
+writer wherever its soundness checks leave the string open, and rejects a
+sound proof written any other way as not in canonical form. It works on
+the compiled tables' atom numbers, reads each distinct segment text and
+each distinct step once per theory, and composes steps through
 ``CompiledTheory.compose``, which grounds rules through the same ``ground``
 as the engine, so rules are grounded in one place.
 """
@@ -620,14 +619,12 @@ def check_proofs(
     the statement) or "false" (proves its negation).
 
     A sound proof is in canonical form when ``canonical_proof_string``
-    writes it from the derivations it names. The soundness checks already
-    fix that string unless a step has two or more intermediate premises, an
-    intermediate is a given fact, one atom (the hypothesis included) is
-    derived twice, or the theory states a fact twice; only then is the
-    writer asked, keeping each atom's first derivation. A mismatch raises
-    ``not in canonical form: the writer gives '...'`` with the writer's
-    string. This comes after all other checks, so a proof that also fails
-    another check raises that check's error.
+    writes it from the derivations it names, each atom's first. The
+    soundness checks fix that string unless a step has two or more
+    intermediate premises, an intermediate is a given fact, an atom (the
+    hypothesis included) is derived twice, or the theory states a fact
+    twice; only then is the writer asked, after all other checks, and a
+    mismatch raises ``not in canonical form: the writer gives '...'``.
 
     Each distinct step is worked out once per theory, and kept on its
     compiled tables. A segment's text alone fixes its rule, its sentence
