@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import random
 from dataclasses import dataclass, replace
@@ -278,39 +277,47 @@ class GoldAnnotation:
 
 def _proof_assignments(index: _ProofIndex, target: int, limit: int):
     """Yield proof choice-maps for atom number ``target``: one derivation
-    per derived atom in the proof's support, acyclic, at most ``limit``."""
+    per derived atom in the proof's support, acyclic, at most ``limit``.
+
+    One loop over a stack of choice points [atom, its sorted derivations,
+    the next to try, its path (itself and its ancestors), the goals pending
+    after it], goals being a linked list of (atom, parent's path, rest). A
+    point writes its choice into the one assignment and puts its premises
+    first among the goals, which resolve in order: a given atom passes
+    (only the root ignores its givenness), one on its path fails, an
+    assigned one passes, and any other opens a point. A popped point
+    deletes its entry. Every yield is that same dict, so a caller reads
+    each assignment before it asks for the next.
+    """
     given = index.given
     derivations = index.derivations
-
-    def proofs_for(n: int, assignment: dict, stack: frozenset):
-        if n in given:
+    assignment: dict[int, tuple[str, tuple[int, ...]]] = {}
+    stack = [[target, derivations(target), 0, frozenset((target,)), None]]
+    while stack and limit > 0:
+        point = stack[-1]
+        n, derivs, i, path, pending = point
+        if i == len(derivs):
+            stack.pop()
+            del assignment[n]
+            continue
+        point[2] = i + 1
+        assignment[n] = deriv = derivs[i]
+        for p in reversed(deriv[1]):
+            pending = (p, path, pending)
+        while pending is not None:
+            m, above, rest = pending
+            if m in given:
+                pending = rest
+            elif m in above:
+                break
+            elif m in assignment:
+                pending = rest
+            else:
+                stack.append([m, derivations(m), 0, above | {m}, rest])
+                break
+        else:
             yield assignment
-            return
-        if n in stack:
-            return
-        if n in assignment:
-            yield assignment
-            return
-        yield from derive(n, assignment, stack)
-
-    def derive(n: int, assignment: dict, stack: frozenset):
-        # premises resolve given-first; only the root ignores its givenness
-        inner_stack = stack | {n}
-        for deriv in derivations(n):
-            _, premises = deriv
-            started = dict(assignment)
-            started[n] = deriv
-
-            def expand(idx: int, asg: dict):
-                if idx == len(premises):
-                    yield asg
-                    return
-                for asg2 in proofs_for(premises[idx], asg, inner_stack):
-                    yield from expand(idx + 1, asg2)
-
-            yield from expand(0, started)
-
-    yield from itertools.islice(derive(target, {}, frozenset()), limit)
+            limit -= 1
 
 
 def _gold_proofs(closure: GoldClosure, target: Atom, cap: int) -> tuple[tuple[str, ...], bool]:
@@ -331,18 +338,17 @@ def _gold_proofs(closure: GoldClosure, target: Atom, cap: int) -> tuple[tuple[st
     root = index.number(target)
     given = index.given
     found: dict[str, int] = {}  # canonical string -> depth
-    count = 0
     if root in given:
         canonical, depth = canonical_proof_string(root, given, {})
         found[canonical] = depth
-        count += 1
     if target in closure.derivations:
         for assignment in _proof_assignments(index, root, hard_limit + 1):
             canonical, depth = canonical_proof_string(root, given, assignment)
             found.setdefault(canonical, depth)
-            count += 1
     ordered = sorted(found, key=lambda c: (found[c], c))
-    truncated = len(ordered) > cap or count > hard_limit
+    # distinct assignments write distinct strings and hard_limit >= cap, so
+    # a set the hard limit cut is longer than the cap
+    truncated = len(ordered) > cap
     result = closure.proof_sets[target, cap] = (tuple(ordered[:cap]), truncated)
     return result
 

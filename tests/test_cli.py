@@ -464,6 +464,25 @@ class TestEmitTraining:
         )[0] == 0
         assert (out_dir / "rs.jsonl").exists()
 
+    def test_a_1200_step_chain_is_labelled_scored_and_emitted(self, tmp_path, capsys):
+        # the gold-proof search keeps its choice points on a list, not on
+        # the Python stack
+        lines, text, proof = deep_chain()
+        theory, statement = parse_theory(lines, "d1"), parse_statement(text)
+        gold = dg.assign_gold(theory, statement)
+        assert (gold.label, gold.depth, gold.proofs, gold.proofs_truncated) == (
+            LABEL_TRUE, DEEP_STEPS, (proof,), False
+        )
+        path = tmp_path / "deep.jsonl"
+        question = dg.Question("d1-q1", statement, text, gold)
+        write_jsonl(path, [dg.instance_to_json(dg.Instance("d1", theory, [question]))])
+        code, _, err = run_cli(capsys, "eval", "--data", str(path))
+        assert code == 0, err
+        out_dir = tmp_path / "records"
+        code, _, err = run_cli(capsys, "emit-training", "--data", str(path), "--out-dir", str(out_dir))
+        assert code == 0, err
+        assert len(read_jsonl(out_dir / "kc.jsonl")) == DEEP_STEPS
+
 
 # ---------------------------------------------------------------------------
 # bench

@@ -6,6 +6,7 @@ writer against a three-pass reference writer, on every assignment the
 search enumerates for the grammar's theories and the golden datasets."""
 import itertools
 import re
+import string
 from collections.abc import Hashable, Mapping, Sequence
 
 import pytest
@@ -325,6 +326,55 @@ def assert_writer_matches_the_reference(closure):
             ), render(target)
 
 
+# limits for the enumeration-order check: one, two, the hard limit at the
+# default cap, one past it, and more than any checked target has proofs
+ORDER_LIMITS = (1, 2, HARD_LIMIT, HARD_LIMIT + 1, 10**6)
+
+
+def assert_enumeration_matches_the_reference(closure):
+    """For every atom with a derivation, ``_proof_assignments`` yields the
+    choice maps of the atom-keyed reference, in the same order, at every
+    limit of ``ORDER_LIMITS``: the hard limit keeps a prefix of this order.
+    Its assignments also write as many distinct strings as there are
+    assignments, so a set that the hard limit cut holds more strings than
+    the cap, and ``_gold_proofs`` needs no count of its own."""
+    index = closure.proof_index
+    numbered = {
+        (atom, deriv): (deriv[0], tuple(map(index.number, deriv[1])))
+        for atom, derivs in closure.derivations.items()
+        for deriv in derivs
+    }
+    for target in closure.derivations:
+        root = index.number(target)
+        expected = [
+            {index.number(atom): numbered[atom, deriv] for atom, deriv in assignment.items()}
+            for assignment in reference_proof_assignments(closure, target, ORDER_LIMITS[-1])
+        ]
+        assert len(expected) < ORDER_LIMITS[-1]
+        for limit in ORDER_LIMITS[:-1]:
+            yielded = [dict(a) for a in _proof_assignments(index, root, limit)]
+            assert yielded == expected[:limit], (render(target), limit)
+        yielded, strings = [], set()
+        for assignment in _proof_assignments(index, root, ORDER_LIMITS[-1]):
+            yielded.append(dict(assignment))
+            strings.add(canonical_proof_string(root, index.given, assignment)[0])
+        assert yielded == expected, render(target)
+        assert len(strings) == len(expected), render(target)
+
+
+def detoured_ladder_lines(layers, detours):
+    """``diamond_ladder_lines(layers)`` plus ``detours`` paths
+    aax -> daax -> edaax -> abx, ... each one step longer than the two
+    through bax and cax, so the top has 2**(layers - 1) * (2 + detours)
+    proofs of two depths."""
+    lines, top = diamond_ladder_lines(layers)
+    rule = "If someone is {} then they are {}."
+    for letter in string.ascii_lowercase[:detours]:
+        lines += [rule.format("aax", f"d{letter}ax"), rule.format(f"d{letter}ax", f"ed{letter}ax"),
+                  rule.format(f"ed{letter}ax", "abx")]
+    return lines, top
+
+
 def assert_matches_the_reference(theory):
     closure, reference = gold_closure(theory), reference_gold_closure(theory)
     assert closure.given == reference.given
@@ -343,7 +393,8 @@ def assert_matches_the_reference(theory):
 # premise, people rules beside the cat, relations and ground rules; a
 # contradiction among the given facts; one that only a derivation makes;
 # steps whose derived premises are listed against their canonical order,
-# deepest first, or differ only in their leaves.
+# deepest first, or differ only in their leaves; two premises with two
+# derivations each, whose choices the search takes first premise first.
 EXAMPLES = [
     (
         [
@@ -389,6 +440,18 @@ EXAMPLES = [
             "If something is kind and big then it is smart.",
         ],
         "Bob is smart.",
+    ),
+    (
+        [
+            "Bob is red.",
+            "Bob is big.",
+            "If Bob is red then Bob is kind.",
+            "If Bob is big then Bob is kind.",
+            "If Bob is red then Bob is blue.",
+            "If Bob is big then Bob is blue.",
+            "If Bob is kind and Bob is blue then Bob is happy.",
+        ],
+        "Bob is happy.",
     ),
 ]
 
@@ -492,6 +555,30 @@ def test_gold_proofs_match_the_reference_on_diamond_ladders(layers):
     assert levels[-1] == parse_statement(top)
     assert_gold_matches_the_reference(theory, closure, levels)
     assert assign_gold(theory, levels[-1], closure).proofs_truncated == (layers >= 7)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=theories(), statement_text=facts())
+@with_examples
+def test_enumeration_order_matches_the_reference_on_the_grammar(lines, statement_text):
+    assert_enumeration_matches_the_reference(gold_closure(parse_theory(lines)))
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_enumeration_order_matches_the_reference_on_the_golden_datasets(name):
+    for row in read_jsonl(GOLDEN / f"{name}.dataset.jsonl"):
+        assert_enumeration_matches_the_reference(gold_closure(instance_from_json(row).theory))
+
+
+@pytest.mark.parametrize("layers, detours", [(7, 0), (10, 0), (10, 20)])
+def test_enumeration_order_matches_the_reference_on_ladders(layers, detours):
+    """The 7- and 10-layer ladders, and the 10-layer one with 20 detours,
+    whose top has 11,264 proofs of depths 20 and 21."""
+    lines, top = detoured_ladder_lines(layers, detours)
+    theory = parse_theory(lines, "ladder")
+    closure = gold_closure(theory)
+    assert_enumeration_matches_the_reference(closure)
+    assert assign_gold(theory, parse_statement(top), closure).proofs_truncated
 
 
 @pytest.mark.parametrize("order", [list, reversed_rules], ids=["chain_order", "reversed"])
