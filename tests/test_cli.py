@@ -479,7 +479,9 @@ class TestEmitTraining:
         code, _, err = run_cli(capsys, "eval", "--data", str(path))
         assert code == 0, err
         out_dir = tmp_path / "records"
-        code, _, err = run_cli(capsys, "emit-training", "--data", str(path), "--out-dir", str(out_dir))
+        code, _, err = run_cli(
+            capsys, "emit-training", "--data", str(path), "--out-dir", str(out_dir),
+        )
         assert code == 0, err
         assert len(read_jsonl(out_dir / "kc.jsonl")) == DEEP_STEPS
 

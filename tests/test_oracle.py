@@ -1,7 +1,8 @@
 """The closure oracle against the engine and against a brute-force reference,
 on theories drawn from the grammar, a generated corpus and the scaling
 family; its gold-proof search against the atom-keyed enumerator it
-replaced, on the same theories and on diamond ladders; the canonical proof
+replaced, in its enumeration order too, on the same theories and on
+diamond ladders, with and without detours; the canonical proof
 writer against a three-pass reference writer, on every assignment the
 search enumerates for the grammar's theories and the golden datasets."""
 import itertools
