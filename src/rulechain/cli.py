@@ -35,7 +35,7 @@ from .evalkit import (
     build_report,
     efficiency_ratio,
     predict_instances,
-    prediction_to_json,
+    prediction_lines,
     score_consistency,
 )
 from .jsonlio import read_jsonl, row_line, write_json, write_jsonl, write_lines
@@ -320,7 +320,7 @@ def _cmd_eval(args) -> int:
             instances, preds, args.strategy, args.budget, consistency, efficiency
         )
     if args.predictions_out:
-        write_jsonl(args.predictions_out, [prediction_to_json(p) for p in all_preds])
+        write_lines(args.predictions_out, prediction_lines(all_preds))
     if args.report:
         write_json(args.report, report.to_json())
     print(report.render_text())

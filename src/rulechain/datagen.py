@@ -941,6 +941,16 @@ def instance_from_json(obj: dict) -> Instance:
                 )
         elif type(depth) is not int or depth < 0:
             raise ValueError(f"question {q['id']}: depth must be a non-negative integer")
+        else:
+            # no proof is deeper than its own step count, and the stated
+            # depth is that of the shallowest proof, listed or not
+            first = q["proofs"][0]
+            steps = first.count(" ; ") + 1 if first.startswith("(") else 0
+            if depth > steps:
+                raise ValueError(
+                    f"question {q['id']}: depth {depth} exceeds the step count "
+                    f"of its first gold proof ({steps})"
+                )
         truncated = q.get("proofs_truncated", False)
         if type(truncated) is not bool:
             raise ValueError(f"question {q['id']}: proofs_truncated must be true or false")

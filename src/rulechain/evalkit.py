@@ -24,6 +24,8 @@ question therefore runs once, at the largest budget, and budget b reads:
   "budget_exhausted".
 
 Every prediction is field for field that of a separate budget-b run.
+``prediction_lines`` writes predictions as JSON lines, encoding the
+``generated`` tuple of each trace once for all the questions that share it.
 
 Metrics:
 
@@ -45,7 +47,10 @@ Metrics:
 """
 from __future__ import annotations
 
+import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import SCHEMA_VERSIONS
 from .datagen import DEPTH_NA, GoldProofError, Instance, Question, RenamingMap
@@ -69,8 +74,7 @@ from .theory import render
 # Prediction pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     question_id: str
     label: str
     proof: str | None
@@ -88,6 +92,34 @@ def prediction_to_json(p: Prediction) -> dict:
         "composer_calls": p.composer_calls,
         "stop_reason": p.stop_reason,
     }
+
+
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def prediction_lines(predictions: Iterable[Prediction]) -> list[str]:
+    """The predictions as JSON lines, each equal to ``json.dumps(
+    prediction_to_json(p), sort_keys=True, separators=(",", ":")) + "\n"``.
+
+    Each line splices encoded fields in sorted-key order. The questions of
+    one trace share its ``generated`` tuple (a full slice of a tuple is the
+    tuple), so each distinct tuple object is encoded once. The cache keeps
+    each tuple it keys by ``id``, so no id is reused while it stands."""
+    generated: dict[int, tuple[tuple[str, ...], str]] = {}
+    lines = []
+    for p in predictions:
+        cached = generated.get(id(p.generated))
+        if cached is None:
+            cached = generated[id(p.generated)] = (p.generated, _encode_compact(p.generated))
+        texts = cached[1]
+        proof = "null" if p.proof is None else json.dumps(p.proof)
+        lines.append(
+            f'{{"composer_calls":{p.composer_calls},"generated":{texts},'
+            f'"label":{json.dumps(p.label)},"proof":{proof},'
+            f'"question_id":{json.dumps(p.question_id)},'
+            f'"stop_reason":{json.dumps(p.stop_reason)}}}\n'
+        )
+    return lines
 
 
 def prediction_from_json(obj: dict) -> Prediction:

@@ -1,11 +1,13 @@
 """Forward-chaining inference over a rulebase.
 
 The engine works one hop at a time. A selection strategy picks a rule and a
-binding, ``step`` reads the ground conclusion off the theory's compiled
-tables, and the store grows by exactly that fact. ``run`` drives the loop to
-a stopping condition and returns the trace, which carries the store;
-``solve`` reads a three-valued verdict off that store under the open-world
-reading:
+binding, ``step`` checks the binding against the store on atom numbers and
+reads the ground conclusion off the theory's compiled tables, and the store
+grows by exactly that fact. ``applicable_bindings`` is the one builder of a
+``Binding``; the strategies call it once per step, for the decision they
+return. ``run`` drives the loop to a stopping condition and returns the
+trace, which carries the store; ``solve`` reads a three-valued verdict off
+that store under the open-world reading:
 
     true     the statement itself was given or derived
     false    the statement's negation was given or derived
@@ -40,6 +42,7 @@ import functools
 import re
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .theory import (
     Atom,
@@ -93,8 +96,7 @@ def substitute(atom: Atom, entity: Entity | Var | None) -> Atom:
     return Atom(entity, atom.pred, atom.positive)
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     """A way to fire a rule: the entity substituted for the variable (None
     for ground rules) plus the store facts matching the premises, in
     premise order."""
@@ -103,8 +105,7 @@ class Binding:
     fact_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Proceed:
+class Proceed(NamedTuple):
     rule_id: str
     binding: Binding
 
@@ -117,8 +118,7 @@ class Stop:
 STOP = Stop()
 
 
-@dataclass(frozen=True)
-class OneHopStep:
+class OneHopStep(NamedTuple):
     index: int  # 1-based
     rule_id: str
     fact_ids: tuple[str, ...]
@@ -161,8 +161,7 @@ class InferenceTrace:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """A label plus its canonical proof string, which is None exactly when
     the label is unknown."""
 
@@ -389,19 +388,30 @@ def applicable_bindings(
 def step(store: FactStore, decision: Proceed) -> OneHopStep:
     """Apply one selected inference, growing the store by one fact.
 
-    Raises StaleDecisionError unless ``applicable_bindings`` yields this
-    binding for its entity, and DuplicateConclusionError if the conclusion
-    is already present.
+    Raises StaleDecisionError unless ``applicable_bindings`` would yield
+    this binding for its entity, and DuplicateConclusionError if the
+    conclusion is already present. The check runs on numbers: the entity
+    must ground the rule, and each ground premise must be stored under the
+    binding's fact id at its position, with no id left over.
     """
     tables = store.tables
     i = tables.rule_index[decision.rule_id]
     rule = tables.rules[i]
     binding = decision.binding
-    if applicable_bindings(rule, store, (binding.entity,)) != [binding]:
-        raise StaleDecisionError(f"{rule.id} does not apply with facts {binding.fact_ids}")
-    premises, conclusion = tables.ground(i, tables.rank_of(rule, binding.entity))
-    fact = store.derive(conclusion, rule.id, premises)
-    return OneHopStep(fact.derived_step, rule.id, binding.fact_ids, fact)
+    rank = tables.rank_of(rule, binding.entity)
+    fact_ids = binding.fact_ids
+    if rank is not None:
+        premises, conclusion = tables.ground(i, rank)
+        stored = store.by_number
+        if len(premises) == len(fact_ids):
+            for n, fid in zip(premises, fact_ids):
+                fact = stored.get(n)
+                if fact is None or fact.id != fid:
+                    break
+            else:
+                fact = store.derive(conclusion, rule.id, premises)
+                return OneHopStep(fact.derived_step, rule.id, fact_ids, fact)
+    raise StaleDecisionError(f"{rule.id} does not apply with facts {fact_ids}")
 
 
 def run(

@@ -23,10 +23,15 @@ as in "If someone is red then Bob is blue.", keeps the variable subject,
 which admits that predicate and polarity about any subject. This still
 over-approximates relevance, which keeps the goal strategy complete: every
 derivation of the statement (or its negation) lies inside the cone, so both
-strategies always agree on the verdict; the goal trace is a subsequence of
-the exhaustive closure and never takes more one-hop steps. The cone is
-closed backward, so every premise of an admitted (rule, entity) pair is in
-it too, and the goal agenda skips an arriving fact outside the cone at once.
+strategies always agree on the verdict and the goal run never takes more
+one-hop steps. Without ``shuffle_rng`` the relation is exact: the goal trace
+is the exhaustive trace filtered to the steps whose rule is in the cone and
+whose conclusion the cone admits, cut right after the step that derives the
+statement or its negation, and empty when either is given. Under
+``shuffle_rng`` the goal agenda draws among cone entries only, so the two
+traces do not correspond step by step. The cone is closed backward, so
+every premise of an admitted (rule, entity) pair is in it too, and the goal
+agenda skips an arriving fact outside the cone at once.
 
 Both strategies select from an ``Agenda``, one per store, over tables that
 every run on the theory shares (``reasoner.CompiledTheory``, built once per
@@ -34,15 +39,19 @@ theory): the rules indexed by premise predicate and polarity, atoms as
 numbers, each (rule, entity) pair's ground premise and conclusion numbers,
 and the cones, one per statement. Each select first reads the atom numbers
 the store gained since the last one: an arriving fact grounds only the
-rules with a matching premise, for only the entities it can bind, and
-pushes each (rule, entity) pair it completes onto a heap keyed by (rule
-index, entity rank), which is canonical order. Pairs stay applicable and
-conclusions stay stored, so the smallest entry not yet concluded is exactly
-what a rescan of all rules x entities would pick first, at a cost of about
-one grounding per closure fact instead of rules x entities per step; once
-a pair's numbers are in the tables, selecting and stepping it build and
-hash no atom. Passing ``shuffle_rng`` switches to a seeded random choice
-among all live entries (``Agenda.live``); determinism then holds per seed.
+rules with a matching premise, for only the entities it can bind, checks
+the pair's premise numbers against the store, and pushes each pair it
+completes onto a heap as (rule index, entity rank, conclusion number),
+which sorts in canonical order. Pairs stay applicable and conclusions stay
+stored, so the smallest entry not yet concluded is exactly what a rescan of
+all rules x entities would pick first, at a cost of about one grounding per
+closure fact instead of rules x entities per step. Heap entries are numbers
+only: the one entry a strategy selects becomes a ``Proceed``
+(``Agenda.decision``), whose binding ``applicable_bindings`` builds, so a
+run builds one binding per step and hashes no atom once a pair's numbers
+are in the tables. Passing ``shuffle_rng`` switches to a seeded random
+choice among all live entries (``Agenda.live_entries``); determinism then
+holds per seed.
 """
 from __future__ import annotations
 
@@ -127,12 +136,13 @@ def relevance_cone(theory: Theory, statement: Statement) -> RelevanceCone:
 class Agenda:
     """The novel decisions of one store, smallest (rule index, entity rank)
     first. With a cone, only cone rules and in-cone conclusions count.
-    Entries are (rule index, entity rank, conclusion number, decision)."""
+    Entries are (rule index, entity rank, conclusion number); ``decision``
+    turns the one a strategy selects into a ``Proceed``."""
 
     def __init__(self, store: FactStore, cone: RelevanceCone | None = None):
         self.store = store
         self.cone = cone
-        self._heap: list[tuple[int, int, int, Proceed]] = []
+        self._heap: list[tuple[int, int, int]] = []
         self._pushed: set[tuple[int, int]] = set()
         self._seen = 0  # store.numbers already read
 
@@ -141,6 +151,8 @@ class Agenda:
         completes."""
         store, cone = self.store, self.cone
         tables = store.tables
+        stored = store.by_number
+        pushed = self._pushed
         # an atom is admitted when its own number or its any-subject number
         # is among the cone's; the cone is closed backward, so a fact outside
         # it is no premise of any pair whose conclusion the cone admits
@@ -150,19 +162,21 @@ class Agenda:
         for i, rule, entities in tables.arrivals(n):
             if cone is not None and rule.id not in cone.rule_ids:
                 continue
-            for binding in applicable_bindings(rule, store, entities):
-                rank = -1 if binding.entity is None else tables.rank[binding.entity]
-                if (i, rank) in self._pushed:
+            for entity in entities:
+                rank = tables.rank_of(rule, entity)
+                if rank is None or (i, rank) in pushed:
                     continue
-                self._pushed.add((i, rank))
-                conclusion = tables.ground(i, rank)[1]
-                if conclusion in store.by_number:
+                premises, conclusion = tables.ground(i, rank)
+                if not all(map(stored.__contains__, premises)):
+                    continue
+                pushed.add((i, rank))
+                if conclusion in stored:
                     continue
                 if admitted is not None and not (
                     conclusion in admitted or tables.anyone(conclusion) in admitted
                 ):
                     continue
-                heapq.heappush(self._heap, (i, rank, conclusion, Proceed(rule.id, binding)))
+                heapq.heappush(self._heap, (i, rank, conclusion))
 
     def _catch_up(self) -> None:
         numbers = self.store.numbers
@@ -170,21 +184,34 @@ class Agenda:
             self._seen += 1
             self._arrive(numbers[self._seen - 1])
 
+    def decision(self, entry: tuple[int, int, int]) -> Proceed:
+        """The decision of a live entry. ``applicable_bindings`` builds its
+        binding, as it builds every binding."""
+        tables = self.store.tables
+        i, rank, _ = entry
+        rule = tables.rules[i]
+        entity = None if rank < 0 else tables.entities[rank]
+        return Proceed(rule.id, applicable_bindings(rule, self.store, (entity,))[0])
+
     def first(self) -> Proceed | Stop:
         """The smallest decision whose conclusion is not stored yet."""
         self._catch_up()
         heap, stored = self._heap, self.store.by_number
         while heap and heap[0][2] in stored:
             heapq.heappop(heap)
-        return heap[0][3] if heap else STOP
+        return self.decision(heap[0]) if heap else STOP
 
-    def live(self) -> list[Proceed]:
-        """Every decision whose conclusion is not stored yet, smallest first."""
+    def live_entries(self) -> list[tuple[int, int, int]]:
+        """Every entry whose conclusion is not stored yet, smallest first."""
         self._catch_up()
         stored = self.store.by_number
         # a sorted list is a heap, so the pruned entries stay the heap
         self._heap = sorted(e for e in self._heap if e[2] not in stored)
-        return [e[3] for e in self._heap]
+        return self._heap
+
+    def live(self) -> list[Proceed]:
+        """Every decision whose conclusion is not stored yet, smallest first."""
+        return [self.decision(e) for e in self.live_entries()]
 
 
 class _AgendaSelection:
@@ -197,12 +224,13 @@ class _AgendaSelection:
         self._agenda: Agenda | None = None
 
     def _decide(self, store: FactStore) -> Proceed | Stop:
-        if self._agenda is None or self._agenda.store is not store:
-            self._agenda = Agenda(store, self.cone)
+        agenda = self._agenda
+        if agenda is None or agenda.store is not store:
+            agenda = self._agenda = Agenda(store, self.cone)
         if self.shuffle_rng is None:
-            return self._agenda.first()
-        pool = self._agenda.live()
-        return self.shuffle_rng.choice(pool) if pool else STOP
+            return agenda.first()
+        pool = agenda.live_entries()
+        return agenda.decision(self.shuffle_rng.choice(pool)) if pool else STOP
 
 
 class ExhaustiveStrategy(_AgendaSelection):

@@ -578,6 +578,22 @@ MALFORMED_ROWS = {
         " (id 'x')",
         "question x-q1: proofs_truncated must be true or false",
     ),
+    # too large for range() in the report, which listed no location
+    "depth_too_large_for_an_index": (
+        '{"id":"x","sentences":{"sent1":"Bob is blue."},"questions":[{"id":"x-q1",'
+        f'"text":"Bob is blue.","label":"true","depth":{2**70},'
+        '"proofs":["sent1 -> hypothesis"]}]}',
+        " (id 'x')",
+        f"question x-q1: depth {2**70} exceeds the step count of its first gold proof (0)",
+    ),
+    # a report row per depth up to it
+    "depth_deeper_than_the_first_proof": (
+        '{"id":"x","sentences":{"sent1":"Bob is red.","sent2":"If someone is red then '
+        'they are big."},"questions":[{"id":"x-q1","text":"Bob is big.","label":"true",'
+        '"depth":100000,"proofs":["(sent2 & sent1) -> hypothesis"]}]}',
+        " (id 'x')",
+        "question x-q1: depth 100000 exceeds the step count of its first gold proof (1)",
+    ),
 }
 
 
