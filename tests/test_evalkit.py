@@ -4,6 +4,7 @@ The numeric expectations (precision fractions, budget-curve points,
 efficiency ratios) were worked out by hand from the frozen theories in
 conftest and are asserted literally.
 """
+import json
 import random
 
 import pytest
@@ -15,11 +16,11 @@ from rulechain import datagen as dg
 from rulechain import evalkit as ek
 from rulechain.jsonlio import read_jsonl
 from rulechain.reasoner import run, solve
-from rulechain.strategies import make_strategy
+from rulechain.strategies import STRATEGY_NAMES, make_strategy
 from rulechain.theory import parse_statement, parse_theory, render
 
 from conftest import CHAIN2_LINES, diamond_ladder_lines
-from test_golden import GOLDEN, chain_lines, chain_statements
+from test_golden import DATASETS, GOLDEN, chain_lines, chain_statements
 
 # chain2 plus an off-path rule; exhaustive derives one useless conclusion.
 SPUR_LINES = CHAIN2_LINES + ["If someone is blue then they are furry."]
@@ -119,6 +120,36 @@ class TestPredict:
     def test_duplicate_question_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             ek.index_predictions([pred("q1"), pred("q1")])
+
+
+def reference_line(p):
+    return json.dumps(ek.prediction_to_json(p), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_prediction_lines_are_each_predictions_json(name):
+    """Every golden prediction of both strategies, at budgets that cut
+    traces short and one that cuts none."""
+    instances = [dg.instance_from_json(r) for r in read_jsonl(GOLDEN / f"{name}.dataset.jsonl")]
+    for strategy in STRATEGY_NAMES:
+        for budget in (None, 0, 1, 3):
+            preds = ek.predict_instances(instances, strategy, budget)
+            assert ek.prediction_lines(preds) == [reference_line(p) for p in preds]
+
+
+def test_prediction_lines_escape_as_json_does():
+    shared = ("Bob is big.", "The caf\u00e9 is \"red\".")
+    preds = [
+        pred("q-\"1\"\\ caf\u00e9 \u2603", "unknown", None, (), 0, "fixpoint"),
+        pred("q2", "true", "(sent2 & sent1) -> hypothesis", shared, 2, "goal_reached"),
+        pred("q3", "false", "sent1 -> hypothesis", shared, 2, "budget_exhausted"),
+        # equal to the shared tuple, but another object
+        pred("q4", "unknown", None, tuple(list(shared)), 2, "strategy_stop"),
+        pred("q5", "unknown", None, shared[:1], 1, "budget_exhausted"),
+    ]
+    lines = ek.prediction_lines(iter(preds))
+    assert lines == [reference_line(p) for p in preds]
+    assert [ek.prediction_from_json(json.loads(line)) for line in lines] == preds
 
 
 # ---------------------------------------------------------------------------

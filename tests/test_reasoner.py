@@ -196,6 +196,84 @@ def test_step_rejects_a_people_rule_bound_to_an_animal():
         run(theory, statement, OneShot(decision))
 
 
+# Mentioned by no drawn theory
+STRANGER = Entity(PROPER, "Zed")
+
+
+def mutated_bindings(binding, entities, stored_ids):
+    """``binding`` and its near misses: each fact id swapped for a stored
+    id or one no fact has, dropped or repeated; the ids reversed; an extra
+    id; and every other entity, ``None`` and one the theory never
+    mentions."""
+    entity, ids = binding
+    yield binding
+    for k in range(len(ids)):
+        for other in (*stored_ids, "int99"):
+            if other != ids[k]:
+                yield Binding(entity, (*ids[:k], other, *ids[k + 1:]))
+        yield Binding(entity, ids[:k] + ids[k + 1:])
+        yield Binding(entity, (*ids[:k + 1], *ids[k:]))
+    yield Binding(entity, ids[::-1])
+    yield Binding(entity, (*ids, stored_ids[0]))
+    for other in (None, STRANGER, *entities):
+        if other != entity:
+            yield Binding(other, ids)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=theories())
+@example(
+    lines=[
+        "The cat is red.",
+        "Bob is red.",
+        "Bob is big.",
+        "If someone is red and they are big then they are kind.",
+        "If the cat is red and Bob is big then Anne is kind.",
+        "If something is red then it is big.",
+    ]
+)
+def test_step_rejects_exactly_what_applicable_bindings_does_not_yield(lines):
+    """On a store halfway through the exhaustive run, every completed (rule,
+    entity) pair and each of its near misses: ``step`` raises
+    StaleDecisionError exactly when ``applicable_bindings`` does not yield
+    the binding for its entity. A decision it accepts either derives its
+    conclusion or finds it stored."""
+    theory = parse_theory(lines)
+    tables = compile_theory(theory)
+    statement = parse_statement(render(theory.facts[0].atom))
+    derivations = list(run(theory, statement, ExhaustiveStrategy()).store.derivations.items())
+    kept = derivations[: (len(derivations) + 1) // 2]
+
+    def replayed():
+        store = FactStore(theory)
+        for n, (rule_id, premises) in kept:
+            store.derive(n, rule_id, premises)
+        return store
+
+    store = replayed()
+    ids = sorted({store.by_number[n].id for n in store.numbers}, key=_id_sort_key)
+    stored_ids = (ids[0], ids[-1])
+    for rule in theory.rules:
+        entities = [None] if rule.quantifier == QUANT_NONE else tables.entities
+        for completed in applicable_bindings(rule, store, entities):
+            for binding in mutated_bindings(completed, tables.entities, stored_ids):
+                decision = Proceed(rule.id, binding)
+                if applicable_bindings(rule, store, (binding.entity,)) != [binding]:
+                    with pytest.raises(StaleDecisionError):
+                        step(store, decision)
+                    continue
+                # an accepted decision grows the store, so it gets its own
+                fresh = replayed()
+                try:
+                    one = step(fresh, decision)
+                except DuplicateConclusionError:
+                    continue
+                assert one.fact_ids == binding.fact_ids
+                assert fresh.numbers[-1] == tables.number(one.conclusion.atom)
+    # a rejected decision leaves the store as it was
+    assert store.numbers == replayed().numbers
+
+
 # ---------------------------------------------------------------------------
 # Run loop
 # ---------------------------------------------------------------------------

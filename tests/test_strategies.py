@@ -35,6 +35,7 @@ from rulechain.theory import (
     Atom,
     QUANT_PEOPLE,
     QUANT_THINGS,
+    Statement,
     Var,
     negate,
     parse_statement,
@@ -43,7 +44,7 @@ from rulechain.theory import (
 )
 
 from grammar_theories import facts, reversed_rules, scaling_lines, theories
-from test_golden import GOLDEN, chain_lines, chain_statements
+from test_golden import DATASETS, GOLDEN, chain_lines, chain_statements
 
 
 def small_instances(seed):
@@ -517,6 +518,62 @@ def walk_against_the_rescan(lines, statement_text, schedule, shuffle_seed):
 )
 def test_agenda_decides_like_a_full_rescan(lines, statement_text, schedule, shuffle_seed):
     walk_against_the_rescan(lines, statement_text, schedule, shuffle_seed)
+
+
+def filtered_and_cut(theory, statement, exhaustive):
+    """The exhaustive trace's steps whose rule is in the statement's cone
+    and whose conclusion the cone admits, cut right after the step that
+    derives the statement or its negation, as (rule id, conclusion) pairs;
+    none when either is given."""
+    targets = {statement.atom, statement.atom.negated()}
+    if any(f.atom in targets for f in theory.facts):
+        return []
+    cone = relevance_cone(theory, statement)
+    atoms = cone_atoms(theory, cone)
+    kept = []
+    for s in exhaustive.steps:
+        conclusion = s.conclusion.atom
+        # a cone atom matches its own atom, or any subject's if it is the variable's
+        anyone = Atom(X, conclusion.pred, conclusion.positive)
+        if s.rule_id in cone.rule_ids and (conclusion in atoms or anyone in atoms):
+            kept.append((s.rule_id, conclusion))
+            if conclusion in targets:
+                break
+    return kept
+
+
+def assert_goal_traces_are_the_exhaustive_trace_filtered_and_cut(theory, statements):
+    exhaustive = run(theory, statements[0], ExhaustiveStrategy())
+    for statement in statements:
+        goal = run(theory, statement, GoalDirectedStrategy(theory, statement))
+        assert [(s.rule_id, s.conclusion.atom) for s in goal.steps] == filtered_and_cut(
+            theory, statement, exhaustive
+        ), render(statement.atom)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=theories(), statement_text=facts())
+def test_a_goal_trace_is_the_exhaustive_trace_filtered_and_cut(lines, statement_text):
+    """Without a shuffle seed, for the drawn statement and every atom of the
+    closure and its negation."""
+    theory = parse_theory(lines)
+    store = run(theory, parse_statement(statement_text), ExhaustiveStrategy()).store
+    atoms = [store.tables.atom(n) for n in store.numbers]
+    statements = [
+        parse_statement(statement_text),
+        *(Statement(a) for a in atoms),
+        *(Statement(a.negated()) for a in atoms),
+    ]
+    assert_goal_traces_are_the_exhaustive_trace_filtered_and_cut(theory, statements)
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_a_golden_goal_trace_is_the_exhaustive_trace_filtered_and_cut(name):
+    for row in read_jsonl(GOLDEN / f"{name}.dataset.jsonl"):
+        instance = instance_from_json(row)
+        assert_goal_traces_are_the_exhaustive_trace_filtered_and_cut(
+            instance.theory, [q.statement for q in instance.questions]
+        )
 
 
 def test_selection_work_is_linear_in_the_closure(monkeypatch):
