@@ -553,6 +553,17 @@ def assert_goal_traces_are_the_exhaustive_trace_filtered_and_cut(theory, stateme
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(lines=theories(), statement_text=facts())
+# The cone admits anyone's redness, for the rule that makes Bob big, so the
+# goal agenda grounds the first rule at Anne too; it must not conclude that
+# Anne is big
+@example(
+    lines=[
+        "Anne is red.",
+        "If something is red then it is big.",
+        "If someone is red then Bob is big.",
+    ],
+    statement_text="Bob is big.",
+)
 def test_a_goal_trace_is_the_exhaustive_trace_filtered_and_cut(lines, statement_text):
     """Without a shuffle seed, for the drawn statement and every atom of the
     closure and its negation."""
